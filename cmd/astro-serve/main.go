@@ -18,6 +18,11 @@
 //
 //	astro-serve [-addr :8080] [-j N] [-cache dir] [-shards N] [-store-max-bytes N] [-hot-cache-bytes N] [-remote] [-lease-ttl d] [-token t] [-journal dir]
 //
+// -shards picks the layout of a new -cache directory (N key-prefix shards
+// for many concurrent writers; 0 is a single directory). An existing
+// directory opens in the layout it was created with, so -shards can be
+// left off on a restart; a value that contradicts the directory is refused.
+//
 // Quick tour (see README.md for a full example):
 //
 //	curl -s localhost:8080/campaigns -d '{"benchmarks":["parsec"],"configs":["all"]}'
@@ -46,7 +51,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	jobs := flag.Int("j", runtime.NumCPU(), "campaign pool workers (local execution and -remote fallback)")
 	cacheDir := flag.String("cache", "", "on-disk result cache directory (default: in-memory only)")
-	shards := flag.Int("shards", 0, "shard the result store by key prefix (0 = single directory; use with concurrent workers)")
+	shards := flag.Int("shards", 0, "shard count of a new -cache directory, by key prefix (0 = single directory; use with concurrent workers); an existing directory opens as it was created")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "cap the on-disk result store; LRU-evicts unpinned entries past the cap (0 = unbounded; requires -cache)")
 	hotCacheBytes := flag.Int64("hot-cache-bytes", 0, "cap the in-memory hot result cache (0 with -store-max-bytes = same as the disk cap)")
 	remote := flag.Bool("remote", false, "execute campaigns on pull-based workers (`astro worker`) instead of in-process")
@@ -57,22 +62,7 @@ func main() {
 	journalDir := flag.String("journal", "", "flight-recorder directory: journal every queue lifecycle event as segment-rotated JSONL (empty = off)")
 	flag.Parse()
 
-	storeCfg := campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes}
-	var store campaign.ResultStore
-	var err error
-	stopCompact := func() {}
-	if *shards > 0 {
-		var ss *campaign.ShardedStore
-		ss, err = campaign.NewShardedStoreWith(*cacheDir, *shards, storeCfg)
-		if err == nil {
-			store = ss
-			// Background compaction keeps each shard's keys.idx honest
-			// about evictions without ever blocking writers.
-			stopCompact = ss.StartCompactor(0)
-		}
-	} else {
-		store, err = campaign.NewStoreWith(*cacheDir, storeCfg)
-	}
+	store, err := campaign.NewStoreWith(*cacheDir, campaign.StoreConfig{MaxBytes: *storeMaxBytes, HotBytes: *hotCacheBytes, Shards: *shards})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astro-serve:", err)
 		os.Exit(1)
@@ -118,7 +108,6 @@ func main() {
 	select {
 	case err := <-errc:
 		stopSweep()
-		stopCompact()
 		closeJournal()
 		if err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "astro-serve:", err)
@@ -129,7 +118,6 @@ func main() {
 		// (SSE streams aside) finish, then exit.
 		fmt.Fprintln(os.Stderr, "astro-serve: shutting down")
 		stopSweep()
-		stopCompact()
 		shCtx, done := context.WithTimeout(context.Background(), 5*time.Second)
 		defer done()
 		srv.Shutdown(shCtx)

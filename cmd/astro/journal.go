@@ -27,7 +27,7 @@ func cmdJournal(args []string) error {
 		return fmt.Errorf("usage: astro journal replay [-store dir] <journal-dir>")
 	}
 	fs := flag.NewFlagSet("journal replay", flag.ContinueOnError)
-	storeDir := fs.String("store", "", "result-store directory to audit journaled completions against (plain or sharded, auto-detected)")
+	storeDir := fs.String("store", "", "result-store directory to audit journaled completions against (opened in the layout it was created with, unbounded)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -49,7 +49,8 @@ func cmdJournal(args []string) error {
 	if *storeDir == "" {
 		return nil
 	}
-	store, err := campaign.OpenStore(*storeDir)
+	// Opened unbounded: an audit must never evict the evidence.
+	store, err := campaign.NewStore(*storeDir)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -15,38 +16,57 @@ import (
 //     trained-agent snapshot on enqueue and unpins when the cell
 //     finishes or is cancelled, so a snapshot referenced by a live
 //     campaign survives any eviction pressure.
-//   - hotCache: a byte-bounded LRU in front of the disk tier, replacing
-//     the old unbounded in-memory map whenever a cap is configured.
-//     Purely a cache: every entry also lives on disk (or did, before
-//     disk eviction), so dropping one costs a re-read or a recompute,
-//     never correctness.
+//   - hotCache: the memory tier, an LRU that is byte-bounded whenever a
+//     cap is configured. In front of a disk tier it is purely a cache:
+//     every entry also lives on disk (or did, before disk eviction), so
+//     dropping one costs a re-read or a recompute, never correctness.
 //   - StoreConfig/Occupancy: the knobs and the live accounting that
 //     /metrics, /readyz and the soak test read.
 //
 // The safety contract for all of it is DESIGN.md invariant 11: eviction
 // may force recomputation, never corruption. Nothing here rewrites
-// bytes; the only mutations are "remove a whole entry" (crash-safe: the
-// entry is either fully present or absent) and "rewrite keys.idx
-// atomically" (compaction, via the same writeFileAtomic discipline as
-// values).
+// bytes; the only mutation is "remove a whole entry" (crash-safe: the
+// entry is either fully present or absent).
 
-// StoreConfig bounds a disk-backed store. The zero value means
-// unbounded — exactly the pre-cap behaviour.
+// StoreConfig shapes a disk-backed store. The zero value opens whatever
+// layout the directory holds, unbounded.
 type StoreConfig struct {
 	// MaxBytes caps the disk tier: once the sum of stored value bytes
 	// would exceed it, least-recently-used unpinned entries are evicted
 	// (their files removed) until the store fits. 0 = unbounded.
-	// A sharded store splits the cap evenly across shards.
+	// The cap splits evenly across shards.
 	MaxBytes int64
 
 	// HotBytes caps the in-memory hot cache fronting the disk tier.
 	// 0 with MaxBytes set defaults to MaxBytes (memory never holds more
-	// than the disk tier may); 0 with MaxBytes unset keeps the legacy
-	// unbounded memory tier.
+	// than the disk tier may); 0 with MaxBytes unset leaves the memory
+	// tier uncapped.
 	HotBytes int64
+
+	// Shards is the shard count of a fresh directory: 0 or 1 is the
+	// plain one-shard layout, N > 1 is N shards (snapped up to a power
+	// of two, at most 256) under an INDEX.json manifest. An existing
+	// directory opens in the layout it was created with: 0 accepts it,
+	// and a nonzero count that contradicts it is an error.
+	Shards int
 }
 
 func (c StoreConfig) bounded() bool { return c.MaxBytes > 0 || c.HotBytes > 0 }
+
+// shardCount snaps Shards up to a power of two; 0 means "any".
+func (c StoreConfig) shardCount() (int, error) {
+	if c.Shards <= 0 {
+		return 0, nil
+	}
+	n := 1
+	for n < c.Shards {
+		n <<= 1
+	}
+	if n > 256 {
+		return 0, fmt.Errorf("campaign: sharded store: %d shards exceeds the 256-shard (one key byte) limit", c.Shards)
+	}
+	return n, nil
+}
 
 // effHotBytes is the hot-cache cap the config resolves to.
 func (c StoreConfig) effHotBytes() int64 {
@@ -73,8 +93,7 @@ type Occupancy struct {
 }
 
 // Occupant is implemented by stores that account their disk tier;
-// readiness probes and the soak test consult it through the interface so
-// plain and sharded stores are interchangeable.
+// readiness probes and the soak test consult it through the interface.
 type Occupant interface {
 	Occupancy() Occupancy
 }
@@ -90,8 +109,8 @@ type PinStore interface {
 	Unpin(key string)
 }
 
-// PinLedger is the refcount table behind PinStore. One ledger is shared
-// by every shard of a store, so a pin protects a key wherever it lands.
+// PinLedger is the refcount table behind PinStore. Every shard of a
+// store consults the one ledger, so a pin protects a key wherever it lands.
 type PinLedger struct {
 	mu   sync.Mutex
 	refs map[string]int
@@ -157,13 +176,12 @@ func (l *PinLedger) PinnedKeys() []string {
 	return out
 }
 
-// hotCache is the byte-bounded LRU memory tier. It is shared by every
-// shard of a sharded store (the cache fronts the store, not a shard), so
-// it has its own lock; it never calls back into any store, which keeps
-// the lock ordering store.mu → hot.mu acyclic.
+// hotCache is the LRU memory tier. It fronts the whole store, not a
+// shard, so it has its own lock; it never calls back into the store,
+// which keeps the lock ordering shard.mu → hot.mu acyclic.
 type hotCache struct {
 	mu    sync.Mutex
-	max   int64
+	max   int64 // byte cap; 0 = uncapped
 	bytes int64
 	lru   *list.List // front = most recently used; values are *hotEnt
 	ent   map[string]*list.Element
@@ -197,11 +215,11 @@ func (h *hotCache) get(key string) ([]byte, bool) {
 }
 
 // put inserts (or refreshes) an entry and evicts from the cold end until
-// the cache fits. An entry larger than the whole cache is not admitted —
-// caching it would evict everything for a single key.
+// the cache fits its cap. An entry larger than the whole cap is not
+// admitted — caching it would evict everything for a single key.
 func (h *hotCache) put(key string, data []byte) {
 	size := int64(len(data))
-	if size > h.max {
+	if h.max > 0 && size > h.max {
 		return
 	}
 	h.mu.Lock()
@@ -214,7 +232,7 @@ func (h *hotCache) put(key string, data []byte) {
 		h.bytes += size
 	}
 	evicted := 0
-	for h.bytes > h.max {
+	for h.max > 0 && h.bytes > h.max {
 		back := h.lru.Back()
 		if back == nil {
 			break

@@ -6,10 +6,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
+
+// path is where key's value file lives in a disk-backed store.
+func (s *Store) path(key string) string {
+	return s.shardOf(key).path(key)
+}
 
 // valFor makes deterministic value bytes for testKey(i), sized so a
 // handful of entries cross small byte caps.
@@ -21,19 +25,15 @@ func valFor(i, size int) []byte {
 // the ground truth the accounting property checks against.
 func diskBytesOf(t *testing.T, dir string) (int64, int) {
 	t.Helper()
-	keys, err := scanStoreDir(dir, 0)
+	files, err := scanShard(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
-	for _, k := range keys {
-		fi, err := os.Stat(filepath.Join(dir, k[:2], k+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
+	for _, f := range files {
+		total += f.size
 	}
-	return total, len(keys)
+	return total, len(files)
 }
 
 // TestStorePutSingleDiskWrite pins the put-dedup fix: one unique key
@@ -61,7 +61,7 @@ func TestStorePutSingleDiskWrite(t *testing.T) {
 		t.Fatalf("put noops = %d, want 4", occ.PutNoops)
 	}
 
-	// A fresh process does not rewrite either: the Stat probe discovers
+	// A fresh process does not rewrite either: the open-time scan knows
 	// the prior entry and skips the temp-file + fsync + rename churn.
 	s2, err := NewStore(dir)
 	if err != nil {
@@ -77,12 +77,12 @@ func TestStorePutSingleDiskWrite(t *testing.T) {
 }
 
 // TestStoreCapRequiresDisk: a byte cap on a memory-only store would evict
-// authoritative bytes; both constructors must refuse.
+// authoritative bytes; the constructor must refuse, whatever the shards.
 func TestStoreCapRequiresDisk(t *testing.T) {
 	if _, err := NewStoreWith("", StoreConfig{MaxBytes: 1 << 20}); err == nil {
 		t.Fatal("memory-only store accepted a byte cap")
 	}
-	if _, err := NewShardedStoreWith("", 4, StoreConfig{MaxBytes: 1 << 20}); err == nil {
+	if _, err := NewStoreWith("", StoreConfig{MaxBytes: 1 << 20, Shards: 4}); err == nil {
 		t.Fatal("memory-only sharded store accepted a byte cap")
 	}
 }
@@ -188,15 +188,22 @@ func TestBoundedStoreOversizedValueDoesNotWipeShard(t *testing.T) {
 }
 
 // TestBoundedStoreReopenHonorsLoweredCap: a directory written unbounded,
-// reopened with a cap below its contents, evicts down to the cap at open.
+// reopened with a cap below its contents, evicts down to the cap at open —
+// oldest-modified first, so the newest entries are the ones that survive.
 func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 20; i++ {
 		if err := s.Put(testKey(i), valFor(i, 100)); err != nil {
+			t.Fatal(err)
+		}
+		// Entry i is i seconds newer than entry 0; key order is unrelated.
+		mtime := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(s.path(testKey(i)), mtime, mtime); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,6 +217,12 @@ func TestBoundedStoreReopenHonorsLoweredCap(t *testing.T) {
 	}
 	if bytesOnDisk, _ := diskBytesOf(t, dir); bytesOnDisk != occ.DiskBytes {
 		t.Fatalf("accounting %d != %d bytes actually on disk", occ.DiskBytes, bytesOnDisk)
+	}
+	for i := 0; i < 20; i++ {
+		_, err := os.Stat(s2.path(testKey(i)))
+		if survived, newest := err == nil, i >= 15; survived != newest {
+			t.Fatalf("entry %d (age rank %d of 20): survived=%v, want the 5 newest to survive", i, 20-i, survived)
+		}
 	}
 }
 
@@ -297,28 +310,29 @@ func TestBoundedStoreProperty(t *testing.T) {
 					occ.DiskBytes, cap, occ.PinnedBytes)
 			}
 			// Every surviving entry is byte-exact.
-			liveKeys, err := scanStoreDir(dir, 0)
+			live, err := scanShard(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range liveKeys {
-				got, ok := s.Get(k)
-				if !ok || !bytes.Equal(got, ref[k]) {
-					t.Fatalf("surviving key %s corrupted (ok=%v)", k[:8], ok)
+			for _, f := range live {
+				got, ok := s.Get(f.key)
+				if !ok || !bytes.Equal(got, ref[f.key]) {
+					t.Fatalf("surviving key %s corrupted (ok=%v)", f.key[:8], ok)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedBoundedProperty runs the same state machine through the
-// sharded front door with compaction interleaved: the per-shard caps,
-// the shared hot cache and the shared pin ledger must uphold the same
-// invariants, and Compact must never lose a live key from the index.
+// TestShardedBoundedProperty runs the same state machine through a
+// 4-shard store with reopens interleaved: the per-shard caps, the shared
+// hot cache and the shared pin ledger must uphold the same invariants, and
+// every reopen's scan must rebuild accounting that matches the disk.
 func TestShardedBoundedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	dir := t.TempDir()
-	s, err := NewShardedStoreWith(dir, 4, StoreConfig{MaxBytes: 4000, HotBytes: 1000})
+	cfg := StoreConfig{MaxBytes: 4000, HotBytes: 1000, Shards: 4}
+	s, err := NewStoreWith(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,104 +359,40 @@ func TestShardedBoundedProperty(t *testing.T) {
 		case op < 11:
 			s.Unpin(key)
 		default:
-			if err := s.Compact(); err != nil {
+			if s, err = NewStoreWith(dir, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := s.Compact(); err != nil {
+	s, err = NewStoreWith(dir, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	occ := s.Occupancy()
 	if occ.CapBytes != 4000 {
 		t.Fatalf("summed shard caps = %d, want 4000", occ.CapBytes)
 	}
-	// After compaction the index and the disk agree exactly: Keys()
-	// enumerates precisely the keys whose files are live, each byte-exact.
-	keys := s.Keys()
-	for _, k := range keys {
-		got, ok := s.Get(k)
-		if !ok || !bytes.Equal(got, ref[k]) {
-			t.Fatalf("indexed key %s unreadable or corrupted after compaction (ok=%v)", k[:8], ok)
-		}
-	}
+	// After a reopen the accounting and the disk agree exactly: Len counts
+	// precisely the keys whose files are live, each byte-exact.
 	var liveOnDisk int
+	var bytesOnDisk int64
 	for i := 0; i < 4; i++ {
-		ks, err := scanStoreDir(filepath.Join(dir, fmt.Sprintf("shard-%02x", i)), 0)
+		files, err := scanShard(filepath.Join(dir, fmt.Sprintf("shard-%02x", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		liveOnDisk += len(ks)
-	}
-	if len(keys) != liveOnDisk {
-		t.Fatalf("index enumerates %d keys, disk holds %d", len(keys), liveOnDisk)
-	}
-}
-
-// TestShardedCompactionCrashSafety pins the two crash shapes around
-// keys.idx: a torn tail from a crash mid-append is repaired on reopen,
-// and a crash mid-compaction (stale temp file beside the index, old
-// index still in place) leaves a store that reopens, compacts cleanly,
-// and sweeps the stray.
-func TestShardedCompactionCrashSafety(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for i := 0; i < 12; i++ {
-		k := testKey(i)
-		keys = append(keys, k)
-		if err := s.Put(k, valFor(i, 40)); err != nil {
-			t.Fatal(err)
+		for _, f := range files {
+			got, ok := s.Get(f.key)
+			if !ok || !bytes.Equal(got, ref[f.key]) {
+				t.Fatalf("live key %s unreadable or corrupted after reopen (ok=%v)", f.key[:8], ok)
+			}
+			bytesOnDisk += f.size
 		}
+		liveOnDisk += len(files)
 	}
-
-	// Crash mid-append: torn final line on one shard's index.
-	idx0 := filepath.Join(dir, "shard-00", "keys.idx")
-	f, err := os.OpenFile(idx0, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(strings.Repeat("f", 30)) // half a key, no newline
-	f.Close()
-
-	// Crash mid-compaction: writeFileAtomic died before the rename —
-	// old index intact, orphan temp file beside it.
-	stray := filepath.Join(dir, "shard-01", ".tmp-orphan")
-	if err := os.WriteFile(stray, []byte("partial index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * time.Minute)
-	os.Chtimes(stray, old, old)
-
-	s2, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Len(); got != 12 {
-		t.Fatalf("reopened Len = %d, want 12 (torn tail not repaired?)", got)
-	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// The compacted index round-trips: a third open enumerates exactly
-	// the live keys, and every value survives byte-exact.
-	s3, err := NewShardedStore(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s3.Len(); got != 12 {
-		t.Fatalf("post-compaction Len = %d, want 12", got)
-	}
-	for i, k := range keys {
-		if got, ok := s3.Get(k); !ok || !bytes.Equal(got, valFor(i, 40)) {
-			t.Fatalf("key %d unreadable after crash drill (ok=%v)", i, ok)
-		}
-	}
-	if _, err := os.Stat(stray); err == nil {
-		t.Fatal("compaction left the stale mid-compaction temp file behind")
+	if s.Len() != liveOnDisk || occ.DiskKeys != liveOnDisk || occ.DiskBytes != bytesOnDisk {
+		t.Fatalf("store counts %d keys (occupancy %d keys / %d bytes), disk holds %d / %d",
+			s.Len(), occ.DiskKeys, occ.DiskBytes, liveOnDisk, bytesOnDisk)
 	}
 }
 

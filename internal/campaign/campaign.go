@@ -13,10 +13,10 @@
 //     lives outside those bytes (a custom Hybrid policy) must be named
 //     into the key via HybridKey or the job is uncacheable.
 //   - ResultStore: the storage contract — canonical bytes by content key —
-//     implemented by Store (in-memory + optional crash-safe on-disk tier),
-//     ShardedStore (key-prefix shards with an on-disk index, for N
-//     concurrent writers), and AgentExchange (a worker-local tier backed
-//     by a coordinator over HTTP).
+//     implemented by Store (in-memory + optional crash-safe on-disk tier
+//     of 1–256 key-prefix shards, the layout read from disk at open) and
+//     AgentExchange (a worker-local tier backed by a coordinator over
+//     HTTP).
 //   - Runner: the execution contract, implemented by Pool (in-process
 //     worker pool with deterministic static sharding) and RemoteRunner
 //     (cells leased to pull-based workers over HTTP via a WorkQueue, with

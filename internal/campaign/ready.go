@@ -24,15 +24,10 @@ type Healther interface {
 }
 
 // Healthy verifies the store's disk tier (when configured) still
-// accepts writes, by creating and removing a probe file. A read-only
-// remount or full disk fails here before it fails a result Put.
+// accepts writes, by creating and removing a probe file in its root. A
+// read-only remount or full disk fails here before it fails a result
+// Put. One probe suffices: every shard lives under the same mount.
 func (s *Store) Healthy() error {
-	return probeDirWritable(s.dir)
-}
-
-// Healthy verifies the sharded store's root directory still accepts
-// writes. One probe suffices: the shards live under the same mount.
-func (s *ShardedStore) Healthy() error {
 	return probeDirWritable(s.dir)
 }
 

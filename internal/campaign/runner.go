@@ -6,9 +6,9 @@ import "context"
 // through: canonical result bytes (simulation results, trained-agent
 // snapshots) addressed by content key. Implementations must be safe for
 // concurrent use; Get/Put must be coherent (a Put followed by a Get of the
-// same key returns the stored bytes). Store (single-directory),
-// ShardedStore (prefix-sharded with an on-disk index) and AgentExchange
-// (local tier backed by a coordinator over HTTP) implement it.
+// same key returns the stored bytes). Store (memory, optionally over a
+// sharded crash-safe disk tier) and AgentExchange (local tier backed by a
+// coordinator over HTTP) implement it.
 type ResultStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte) error

@@ -1,11 +1,12 @@
 package campaign
 
 import (
+	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,455 +15,103 @@ import (
 	"astro/internal/telemetry"
 )
 
-// ShardedStore partitions a content-addressed result store into
-// power-of-two shards selected by key prefix: shard(key) = first 8 bits of
-// the (hex) key, masked to the shard count. Every shard is an independent
-// Store with its own lock and its own directory, so N workers (or N
-// coordinator goroutines draining worker results) writing concurrently
-// contend only when their keys land in the same shard — never on one global
-// mutex, and never on one directory's rename traffic.
+// The disk tier's layout. A directory without a manifest is the plain
+// layout, one shard rooted at the directory itself:
 //
-// Keys are SHA-256 hex, so the prefix is uniformly distributed and the
-// shards stay balanced without any placement logic.
+//	<key[:2]>/<key>.json   one file per entry
 //
-// Layout under dir:
+// A sharded directory pins its shard count in a manifest, and each shard
+// is a plain layout of its own:
 //
-//	INDEX.json            {"version":1,"shards":N} — pins the shard count
-//	shard-00/…/…json      shard 0's Store tree (same layout as Store)
-//	shard-00/keys.idx     append-only key index, one key per line
-//	shard-01/…            …
+//	INDEX.json             {"version":1,"shards":N}
+//	shard-00/<key[:2]>/<key>.json
+//	shard-01/…
 //
-// The per-shard keys.idx is appended after every successful disk Put (the
-// value write is fsync+rename crash-safe first; the index line is best
-// effort). It lets a reopened store enumerate what it holds (Keys, Len)
-// without statting hundreds of thousands of files, which is what the
-// coordinator uses to skip leasing cells that any previous run — local or
-// remote — already produced. A missing or truncated index line only costs
-// enumeration: Get still falls through to the disk tier by path, so
-// correctness never depends on the index. An eviction leaves its index
-// line behind on disk (the in-memory key set forgets immediately);
-// compaction — CompactShard / StartCompactor — rewrites keys.idx down to
-// the live keys with the same atomic write discipline as values.
+// A key lives in shard (first key byte & (N-1)). Keys are SHA-256 hex, so
+// the prefix is uniformly distributed and the shards stay balanced without
+// any placement logic. Every shard has its own lock and directory, so N
+// concurrent writers contend only when their keys land in the same shard —
+// never on one global mutex, and never on one directory's rename traffic.
 //
-// The shard count is part of the on-disk layout, so reopening a directory
-// with a different -shards value is an error rather than a silent cache
-// miss on every key.
-//
-// Opened with NewShardedStoreWith and a StoreConfig, the store is
-// bounded: the MaxBytes cap splits evenly across shards (uniform keys
-// keep the split fair), each shard evicts LRU-unpinned entries
-// independently under its own lock, and one shared hot cache plus one
-// shared pin ledger front the whole store — see bounded.go.
-type ShardedStore struct {
-	dir    string
-	mask   uint8
-	cfg    StoreConfig
-	hot    *hotCache  // shared across shards; nil when unbounded
-	pins   *PinLedger // shared across shards
-	shards []*shardStore
-}
+// The shard count is part of the on-disk layout: reopening a directory
+// with a contradicting count is an error rather than a silent cache miss
+// on every key. Directories written with an older per-shard keys.idx key
+// index open unchanged; the index file is simply ignored (the open-time
+// scan is the ground truth it only approximated).
 
-type shardStore struct {
-	store *Store
-
-	mu      sync.Mutex // guards idxPath appends and known
-	idxPath string
-	known   map[string]bool // keys recorded on disk (loaded from keys.idx, pruned on eviction)
-
-	occupancy *telemetry.Gauge // distinct keys in this shard (telemetry only)
-}
-
-// noteOccupancy publishes the shard's current distinct-key count and the
-// store-wide disk occupancy gauges. Callers must not hold sh.mu or the
-// shard's store lock (keysOf takes both).
-func (s *ShardedStore) noteOccupancy(sh *shardStore) {
-	sh.occupancy.Set(float64(len(s.keysOf(sh))))
-	var bytes int64
-	var keys int
-	for _, ss := range s.shards {
-		if ss == nil {
-			continue // still under construction
-		}
-		b, k := ss.store.diskUsage()
-		bytes += b
-		keys += k
-	}
-	gStoreDiskBytes.Set(float64(bytes))
-	gStoreDiskKeys.Set(float64(keys))
-}
+const shardManifestName = "INDEX.json"
 
 type shardManifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
 }
 
-const shardManifestName = "INDEX.json"
+// staleTempAge is how old a temp file must be before the open-time scan
+// removes it as a crashed write's leftover; live writes finish far sooner.
+const staleTempAge = time.Minute
 
-// NewShardedStore opens (or creates) an unbounded sharded store under dir
-// with the given shard count (0 = 16; snapped up to a power of two, max
-// 256). An empty dir builds a memory-only sharded store (useful for
-// contention-free concurrent writers without persistence).
-func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
-	return NewShardedStoreWith(dir, shards, StoreConfig{})
-}
-
-// NewShardedStoreWith is NewShardedStore with byte caps (see StoreConfig):
-// the disk cap splits evenly across shards, the hot cache and the pin
-// ledger are shared by all of them.
-func NewShardedStoreWith(dir string, shards int, cfg StoreConfig) (*ShardedStore, error) {
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	if n > 256 {
-		return nil, fmt.Errorf("campaign: sharded store: %d shards exceeds the 256-shard (one key byte) limit", shards)
-	}
-	if dir == "" && cfg.bounded() {
-		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
-	}
-	s := &ShardedStore{dir: dir, mask: uint8(n - 1), cfg: cfg, pins: NewPinLedger(), shards: make([]*shardStore, n)}
-	if cfg.bounded() {
-		s.hot = newHotCache(cfg.effHotBytes())
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+// shardDirs resolves dir's layout to its shard directories. An INDEX.json
+// manifest fixes the shard count, and a nonzero want must agree with it.
+// Without a manifest dir is the plain layout — unless want > 1 asks for a
+// sharded one, which is created here when dir holds no plain entries.
+func shardDirs(dir string, want int, plainEntries bool) ([]string, error) {
+	mpath := filepath.Join(dir, shardManifestName)
+	n := want
+	if data, err := os.ReadFile(mpath); err == nil {
+		var m shardManifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			return nil, fmt.Errorf("campaign: sharded store: corrupt %s: %w", shardManifestName, err)
+		}
+		if m.Shards < 1 || m.Shards > 256 || m.Shards&(m.Shards-1) != 0 {
+			return nil, fmt.Errorf("campaign: sharded store: corrupt %s: %d shards is not a power of two in 1..256", shardManifestName, m.Shards)
+		}
+		if want > 0 && want != m.Shards {
+			return nil, fmt.Errorf("campaign: sharded store %s was created with %d shards, reopened with %d — shard count is part of the layout", dir, m.Shards, want)
+		}
+		n = m.Shards
+	} else if want <= 1 {
+		return []string{dir}, nil
+	} else if plainEntries {
+		// Opening a populated plain store sharded would miss every stored
+		// key, silently invalidating the cache.
+		return nil, fmt.Errorf("campaign: %s holds a plain (unsharded) store; reopen it without -shards, or point the sharded store at a fresh directory", dir)
+	} else {
+		// Atomic like every other write in this subsystem: a crash
+		// mid-creation must not leave a torn manifest that bricks the
+		// directory on every later open.
+		data, _ := json.Marshal(shardManifest{Version: 1, Shards: n})
+		if err := writeFileAtomic(mpath, data); err != nil {
 			return nil, fmt.Errorf("campaign: sharded store: %w", err)
 		}
-		mpath := filepath.Join(dir, shardManifestName)
-		if data, err := os.ReadFile(mpath); err == nil {
-			var m shardManifest
-			if err := json.Unmarshal(data, &m); err != nil {
-				return nil, fmt.Errorf("campaign: sharded store: corrupt %s: %w", shardManifestName, err)
-			}
-			if m.Shards != n {
-				return nil, fmt.Errorf("campaign: sharded store %s was created with %d shards, reopened with %d — shard count is part of the layout", dir, m.Shards, n)
-			}
-		} else {
-			// No manifest: this must be a fresh directory, not a populated
-			// plain-Store tree — opening that sharded would miss every
-			// stored key, silently invalidating the cache.
-			if hasPlainStoreLayout(dir) {
-				return nil, fmt.Errorf("campaign: %s holds a plain (unsharded) store; reopen it without -shards, or point the sharded store at a fresh directory", dir)
-			}
-			// Atomic like every other write in this subsystem: a crash
-			// mid-creation must not leave a torn manifest that bricks the
-			// directory on every later open.
-			data, _ := json.Marshal(shardManifest{Version: 1, Shards: n})
-			if err := writeFileAtomic(mpath, data); err != nil {
-				return nil, fmt.Errorf("campaign: sharded store: %w", err)
-			}
-		}
 	}
-	shardCfg := StoreConfig{}
-	if cfg.bounded() {
-		shardCfg.MaxBytes = cfg.MaxBytes / int64(n)
-		if cfg.MaxBytes > 0 && shardCfg.MaxBytes == 0 {
-			shardCfg.MaxBytes = 1 // a cap below one byte per shard still bounds, never unbounds
-		}
-		shardCfg.HotBytes = cfg.effHotBytes() // hot cache is shared; any >0 value flips the shard to bounded mode
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, fmt.Sprintf("shard-%02x", i))
 	}
-	for i := 0; i < n; i++ {
-		sub := ""
-		if dir != "" {
-			sub = filepath.Join(dir, fmt.Sprintf("shard-%02x", i))
-		}
-		st, err := newStoreTier(sub, shardCfg, s.hot, s.pins)
-		if err != nil {
-			return nil, err
-		}
-		sh := &shardStore{store: st, known: map[string]bool{}, occupancy: shardGauge(i)}
-		if sub != "" {
-			sh.idxPath = filepath.Join(sub, "keys.idx")
-			if cfg.bounded() {
-				// The open-time scan is ground truth (it already excludes
-				// anything evicted to honour a lowered cap); stale index
-				// lines from evictions before the last compaction must not
-				// resurrect phantom keys in Len/Keys.
-				for _, k := range st.diskKeys() {
-					sh.known[k] = true
-				}
-			} else {
-				sh.loadIndex()
-			}
-		}
-		// Evictions prune the in-memory key set immediately; keys.idx on
-		// disk catches up at the next compaction.
-		st.onEvict = func(key string) {
-			sh.mu.Lock()
-			delete(sh.known, key)
-			sh.mu.Unlock()
-			s.noteOccupancy(sh)
-		}
-		s.shards[i] = sh
-		s.noteOccupancy(sh)
-	}
-	return s, nil
+	return dirs, nil
 }
 
-// OpenStore opens dir as whichever store layout it holds: sharded when
-// the INDEX.json manifest is present (honouring the manifest's own
-// shard count), plain otherwise. Read-side tools — the journal replay
-// audit — use this so the operator needn't remember the -shards value
-// a coordinator was launched with. The store opens unbounded: an audit
-// must never evict the evidence.
-func OpenStore(dir string) (ResultStore, error) {
-	if dir == "" {
-		return NewMemStore(), nil
-	}
-	data, err := os.ReadFile(filepath.Join(dir, shardManifestName))
-	if err != nil {
-		return NewStore(dir)
-	}
-	var m shardManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("campaign: corrupt %s in %s: %w", shardManifestName, dir, err)
-	}
-	return NewShardedStore(dir, m.Shards)
+// diskFile is one value file found by the open-time scan.
+type diskFile struct {
+	key   string
+	size  int64
+	mtime time.Time
 }
 
-// hasPlainStoreLayout reports whether dir looks like a populated
-// (unsharded) Store tree: any two-hex-char fan-out subdirectory.
-func hasPlainStoreLayout(dir string) bool {
+// scanShard lists the value files under one shard directory — every
+// <2-hex>/<key>.json — oldest-modified first, and removes temp files older
+// than staleTempAge at both levels (a crashed writeFileAtomic's leftovers).
+// It is the store's one directory walk, run once per shard at open.
+func scanShard(dir string) ([]diskFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || len(name) != 2 {
-			continue
-		}
-		if _, err := strconv.ParseUint(name, 16, 8); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// loadIndex reads the append-only key index, tolerating a torn final line
-// (a crash mid-append): every complete line is a key; anything else is
-// skipped.
-func (sh *shardStore) loadIndex() {
-	data, err := os.ReadFile(sh.idxPath)
-	if err != nil {
-		return
-	}
-	start := 0
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			if key := string(data[start:i]); len(key) == 64 {
-				sh.known[key] = true
-			}
-			start = i + 1
-		}
-	}
-}
-
-func (s *ShardedStore) shard(key string) *shardStore {
-	if len(key) < 2 {
-		return s.shards[0]
-	}
-	b, err := strconv.ParseUint(key[:2], 16, 8)
-	if err != nil {
-		return s.shards[0]
-	}
-	return s.shards[uint8(b)&s.mask]
-}
-
-// Get returns the stored canonical bytes for key, if present in the shard's
-// memory or disk tier.
-func (s *ShardedStore) Get(key string) ([]byte, bool) {
-	return s.shard(key).store.Get(key)
-}
-
-// Put stores data under key in its shard (crash-safe on disk, see
-// Store.Put) and records the key in the shard's index.
-func (s *ShardedStore) Put(key string, data []byte) error {
-	sh := s.shard(key)
-	if err := sh.store.Put(key, data); err != nil {
-		return err
-	}
-	defer s.noteOccupancy(sh)
-	if sh.idxPath == "" {
-		return nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.known[key] {
-		return nil
-	}
-	// Best effort: the value is already durable; a lost index line only
-	// costs enumeration, never a wrong Get.
-	f, err := os.OpenFile(sh.idxPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil
-	}
-	if _, err := f.WriteString(key + "\n"); err == nil {
-		sh.known[key] = true
-	}
-	f.Close()
-	return nil
-}
-
-// Pin and Unpin implement PinStore on the ledger every shard's eviction
-// consults: a pinned key is never evicted, whichever shard holds it.
-func (s *ShardedStore) Pin(key string)   { s.pins.Pin(key) }
-func (s *ShardedStore) Unpin(key string) { s.pins.Unpin(key) }
-
-// Occupancy sums the per-shard disk accounting (Occupant interface). The
-// hot cache is shared, so its numbers are read once, not per shard.
-func (s *ShardedStore) Occupancy() Occupancy {
-	var occ Occupancy
-	for _, sh := range s.shards {
-		so := sh.store.Occupancy()
-		occ.DiskBytes += so.DiskBytes
-		occ.CapBytes += so.CapBytes
-		occ.DiskKeys += so.DiskKeys
-		occ.PinnedKeys += so.PinnedKeys
-		occ.PinnedBytes += so.PinnedBytes
-		occ.DiskWrites += so.DiskWrites
-		occ.PutNoops += so.PutNoops
-		occ.Evictions += so.Evictions
-	}
-	if s.hot != nil {
-		occ.HotBytes = s.hot.size()
-		occ.HotCapBytes = s.hot.max
-	}
-	return occ
-}
-
-// CompactShard rewrites shard i's keys.idx down to the keys whose value
-// files are actually live, and sweeps temp-file strays older than a
-// minute (failed writeFileAtomic leftovers; in-flight writes are far
-// faster). The walk runs without any lock; the index swap holds only the
-// shard's index mutex for an atomic rewrite, so value reads and writes —
-// on this shard and every other — proceed throughout. Crash-safety is
-// the usual discipline: keys.idx is replaced via temp-file + fsync +
-// rename, so a crash mid-compaction leaves either the old index or the
-// new one, and a torn tail from a crash mid-*append* is repaired by the
-// next loadIndex (both pinned by tests).
-func (s *ShardedStore) CompactShard(i int) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("campaign: compact: no shard %d", i)
-	}
-	sh := s.shards[i]
-	if sh.idxPath == "" {
-		return nil
-	}
-	live, err := scanStoreDir(sh.store.dir, time.Minute)
-	if err != nil {
-		return fmt.Errorf("campaign: compact shard %02x: %w", i, err)
-	}
-	newKnown := make(map[string]bool, len(live))
-	for _, k := range live {
-		newKnown[k] = true
-	}
-	sh.mu.Lock()
-	// Keys Put between the walk and here are in known but not in the
-	// walk; confirm their file and keep them, so compaction never drops
-	// a fresh write from the index.
-	for k := range sh.known {
-		if !newKnown[k] {
-			if _, err := os.Stat(sh.store.path(k)); err == nil {
-				newKnown[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(newKnown))
-	for k := range newKnown {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	werr := writeFileAtomic(sh.idxPath, []byte(b.String()))
-	if werr == nil {
-		sh.known = newKnown
-	}
-	sh.mu.Unlock()
-	if werr != nil {
-		return fmt.Errorf("campaign: compact shard %02x: %w", i, werr)
-	}
-	cStoreCompactions.Inc()
-	s.noteOccupancy(sh)
-	return nil
-}
-
-// Compact compacts every shard, stopping at the first error.
-func (s *ShardedStore) Compact() error {
-	for i := range s.shards {
-		if err := s.CompactShard(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// StartCompactor compacts all shards on a background ticker, one full
-// pass per interval (<= 0 picks a minute). The returned stop is
-// idempotent; compaction errors are counted, never fatal — a failed
-// rewrite leaves the previous index in place.
-func (s *ShardedStore) StartCompactor(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := s.Compact(); err != nil {
-					cStoreCompactErrors.Inc()
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// scanStoreDir walks a Store directory's two-hex fan-out and returns the
-// keys whose value files exist — the ground truth compaction rebuilds
-// keys.idx from. Temp files older than pruneTmpAge are removed (a failed
-// atomic write's leftovers); younger ones may be in-flight writes and
-// are left alone.
-func scanStoreDir(dir string, pruneTmpAge time.Duration) ([]string, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign: store scan: %w", err)
 	}
 	now := time.Now()
-	pruneTmp := func(parent string, e os.DirEntry) bool {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp") {
-			return false
-		}
-		if fi, err := e.Info(); err == nil && pruneTmpAge > 0 && now.Sub(fi.ModTime()) > pruneTmpAge {
-			os.Remove(filepath.Join(parent, e.Name()))
-		}
-		return true
-	}
-	var keys []string
+	var found []diskFile
 	for _, e := range entries {
 		name := e.Name()
-		// keys.idx (and the manifest) rewrite atomically into this level,
-		// so a crashed rewrite leaves its temp file here.
-		if pruneTmp(dir, e) {
-			continue
-		}
-		if !e.IsDir() || len(name) != 2 {
+		if sweepStaleTemp(dir, e, now) || !e.IsDir() || len(name) != 2 {
 			continue
 		}
 		if _, err := strconv.ParseUint(name, 16, 8); err != nil {
@@ -474,67 +123,215 @@ func scanStoreDir(dir string, pruneTmpAge time.Duration) ([]string, error) {
 			continue
 		}
 		for _, f := range files {
-			fname := f.Name()
-			if pruneTmp(sub, f) || f.IsDir() {
+			key, ok := strings.CutSuffix(f.Name(), ".json")
+			if sweepStaleTemp(sub, f, now) || f.IsDir() || !ok || len(key) <= 2 || key[:2] != name {
 				continue
 			}
-			if filepath.Ext(fname) != ".json" {
+			fi, err := f.Info()
+			if err != nil {
 				continue
 			}
-			key := fname[:len(fname)-len(".json")]
-			if len(key) > 2 && key[:2] == name {
-				keys = append(keys, key)
-			}
+			found = append(found, diskFile{key: key, size: fi.Size(), mtime: fi.ModTime()})
 		}
 	}
-	return keys, nil
-}
-
-// Len returns the number of distinct keys the store knows about: resident
-// in memory or recorded in a shard index. (Unlike Store.Len, this survives
-// a restart — the coordinator uses it for warm-start accounting.)
-func (s *ShardedStore) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(s.keysOf(sh))
-	}
-	return n
-}
-
-// Keys returns every known key, sorted (memory ∪ index).
-func (s *ShardedStore) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		for k := range s.keysOf(sh) {
-			keys = append(keys, k)
+	slices.SortFunc(found, func(a, b diskFile) int {
+		if c := a.mtime.Compare(b.mtime); c != 0 {
+			return c
 		}
-	}
-	sort.Strings(keys)
-	return keys
+		return strings.Compare(a.key, b.key)
+	})
+	return found, nil
 }
 
-func (s *ShardedStore) keysOf(sh *shardStore) map[string]bool {
-	out := map[string]bool{}
+// sweepStaleTemp reports whether e is a temp file, removing it when it is
+// older than staleTempAge.
+func sweepStaleTemp(dir string, e os.DirEntry, now time.Time) bool {
+	if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp") {
+		return false
+	}
+	if fi, err := e.Info(); err == nil && now.Sub(fi.ModTime()) > staleTempAge {
+		os.Remove(filepath.Join(dir, e.Name()))
+	}
+	return true
+}
+
+// shard is one directory of the disk tier with its own lock and LRU
+// accounting. disk maps every key on disk to its LRU element: seeded by
+// the open-time scan, kept exact by Put and eviction after that.
+type shard struct {
+	dir       string
+	pins      *PinLedger       // the store's ledger
+	occupancy *telemetry.Gauge // astro_store_shard_keys for this shard
+
+	mu        sync.RWMutex
+	maxBytes  int64 // 0 = unbounded
+	diskBytes int64
+	disk      map[string]*list.Element
+	lru       *list.List      // front = most recently used; values are *diskEnt
+	writing   map[string]bool // keys with a value write in flight (dedup without holding mu across fsync)
+
+	diskWrites, putNoops, evictions uint64
+}
+
+type diskEnt struct {
+	key  string
+	size int64
+}
+
+func newShard(dir string, i int, maxBytes int64, pins *PinLedger) *shard {
+	return &shard{
+		dir:       dir,
+		pins:      pins,
+		occupancy: shardGauge(i),
+		maxBytes:  maxBytes,
+		disk:      map[string]*list.Element{},
+		lru:       list.New(),
+		writing:   map[string]bool{},
+	}
+}
+
+func (sh *shard) path(key string) string {
+	return filepath.Join(sh.dir, key[:2], key+".json")
+}
+
+// load tracks the scanned files, oldest first so the newest land at the
+// LRU's hot end, then evicts down to the cap if the directory arrives over
+// it (a cap lowered between runs). It returns the evicted keys.
+func (sh *shard) load(files []diskFile) []string {
 	sh.mu.Lock()
-	for k := range sh.known {
-		out[k] = true
+	defer sh.mu.Unlock()
+	for _, f := range files {
+		sh.trackLocked(f.key, f.size)
+	}
+	return sh.evictLocked()
+}
+
+// read returns key's bytes from disk when the shard holds it.
+func (sh *shard) read(key string) ([]byte, bool) {
+	sh.mu.RLock()
+	_, ok := sh.disk[key]
+	sh.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	data, err := os.ReadFile(sh.path(key))
+	if err != nil {
+		return nil, false
+	}
+	sh.touch(key)
+	return data, true
+}
+
+// put banks data on disk unless the shard already holds key (or is
+// writing it), and reports whether it wrote and which keys the write
+// evicted. A value bigger than the shard's whole cap is refused up front:
+// banking it would evict every peer and the value would still have to go —
+// a whole shard of cache destroyed for nothing. It stays in the memory
+// tier for this process and recomputes like any evicted key, and the
+// refusal counts as an eviction. A *pinned* oversized value is banked
+// regardless, holding the store over cap exactly as a pinned eviction
+// survivor would (Occupancy/readyz report it).
+func (sh *shard) put(key string, data []byte) (victims []string, wrote bool, err error) {
+	sh.mu.Lock()
+	if _, ok := sh.disk[key]; ok || sh.writing[key] {
+		// Already durable (or another goroutine is making it so).
+		if ok {
+			sh.touchLocked(key)
+		}
+		sh.putNoops++
+		sh.mu.Unlock()
+		cStorePutNoops.Inc()
+		return nil, false, nil
+	}
+	if sh.maxBytes > 0 && int64(len(data)) > sh.maxBytes && !sh.pins.Pinned(key) {
+		sh.evictions++
+		sh.mu.Unlock()
+		cStoreEvictions.Add(1)
+		return nil, false, nil
+	}
+	sh.writing[key] = true
+	sh.mu.Unlock()
+
+	p := sh.path(key)
+	if err = os.MkdirAll(filepath.Dir(p), 0o755); err == nil {
+		err = writeFileAtomic(p, data)
+	}
+	sh.mu.Lock()
+	delete(sh.writing, key)
+	if err == nil {
+		sh.diskWrites++
+		sh.trackLocked(key, int64(len(data)))
+		victims = sh.evictLocked()
 	}
 	sh.mu.Unlock()
-	sh.store.mu.RLock()
-	for k := range sh.store.mem {
-		out[k] = true
+	if err != nil {
+		return nil, false, fmt.Errorf("campaign: store put: %w", err)
 	}
-	sh.store.mu.RUnlock()
-	return out
+	cStoreDiskWrites.Inc()
+	return victims, true, nil
 }
 
-// Stats sums the cumulative hit/miss/put counters across shards.
-func (s *ShardedStore) Stats() (hits, misses, puts uint64) {
-	for _, sh := range s.shards {
-		h, m, p := sh.store.Stats()
-		hits += h
-		misses += m
-		puts += p
+// trackLocked records key as on-disk with the given size (moving it to
+// the hot end if already tracked).
+func (sh *shard) trackLocked(key string, size int64) {
+	if e, ok := sh.disk[key]; ok {
+		sh.lru.MoveToFront(e)
+		ent := e.Value.(*diskEnt)
+		sh.diskBytes += size - ent.size
+		ent.size = size
+		return
 	}
-	return hits, misses, puts
+	sh.disk[key] = sh.lru.PushFront(&diskEnt{key: key, size: size})
+	sh.diskBytes += size
+}
+
+// touch marks key most-recently-used.
+func (sh *shard) touch(key string) {
+	sh.mu.Lock()
+	sh.touchLocked(key)
+	sh.mu.Unlock()
+}
+
+func (sh *shard) touchLocked(key string) {
+	if e, ok := sh.disk[key]; ok {
+		sh.lru.MoveToFront(e)
+	}
+}
+
+// usage reports the shard's current disk bytes and key count.
+func (sh *shard) usage() (bytes int64, keys int) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.diskBytes, len(sh.disk)
+}
+
+// evictLocked removes least-recently-used unpinned entries until the
+// shard fits its cap, returning the evicted keys (the store drops them
+// from the hot cache outside the lock). Pinned entries are skipped in
+// place — a clock-style pass — so a shard whose pinned bytes exceed the
+// cap simply stays over it (and reports so through Occupancy/readyz)
+// rather than evicting a snapshot a live campaign depends on. File
+// removal happens inside the lock-held walk but is a plain unlink (no
+// fsync); a concurrent Get racing the unlink either reads the full old
+// bytes or misses — both correct.
+func (sh *shard) evictLocked() []string {
+	if sh.maxBytes <= 0 || sh.diskBytes <= sh.maxBytes {
+		return nil
+	}
+	var victims []string
+	for e := sh.lru.Back(); e != nil && sh.diskBytes > sh.maxBytes; {
+		ent := e.Value.(*diskEnt)
+		prev := e.Prev()
+		if !sh.pins.Pinned(ent.key) {
+			os.Remove(sh.path(ent.key))
+			sh.lru.Remove(e)
+			delete(sh.disk, ent.key)
+			sh.diskBytes -= ent.size
+			sh.evictions++
+			victims = append(victims, ent.key)
+		}
+		e = prev
+	}
+	cStoreEvictions.Add(uint64(len(victims)))
+	return victims
 }

@@ -38,9 +38,9 @@ func soakMatrix() scenario.Matrix {
 //   - never evict a pinned snapshot: a key pinned before the flood (the
 //     trained-agent stand-in — the mechanism is identical) survives every
 //     eviction wave byte-exact;
-//   - make a warm re-run recompute exactly the evicted keys: after
-//     compaction, reopening the directory unbounded and re-running all
-//     300 cells performs precisely (300 - resident) fresh simulations.
+//   - make a warm re-run recompute exactly the evicted keys: reopening
+//     the directory unbounded and re-running all 300 cells performs
+//     precisely (300 - resident) fresh simulations.
 //
 // The final occupancy snapshot is written to ASTRO_ARTIFACT_DIR (set in
 // CI) so a failing race job ships the store's accounting as an artifact.
@@ -82,7 +82,7 @@ func TestBoundedStoreSoak(t *testing.T) {
 	// Leg B: the bounded store. 8 shards so eviction pressure exercises
 	// the per-shard caps; a hot cache at half the disk cap.
 	dir := t.TempDir()
-	store, err := campaign.NewShardedStoreWith(dir, 8, campaign.StoreConfig{MaxBytes: cap, HotBytes: cap / 2})
+	store, err := campaign.NewStoreWith(dir, campaign.StoreConfig{MaxBytes: cap, HotBytes: cap / 2, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +150,15 @@ func TestBoundedStoreSoak(t *testing.T) {
 		t.Fatalf("all %d keys resident under a cap of a third of the working set — eviction never happened", resident)
 	}
 
-	// Warm re-run recomputes only the evicted keys. Compact first (the
-	// index must forget evictions), then reopen the directory unbounded —
-	// an audit-style reopen, so the warm run itself evicts nothing and the
-	// recompute count is exact.
-	if err := store.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	warmStore, err := campaign.NewShardedStore(dir, 8)
+	// Warm re-run recomputes only the evicted keys. Reopen the directory
+	// unbounded — an audit-style reopen, so the warm run itself evicts
+	// nothing and the recompute count is exact.
+	warmStore, err := campaign.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := warmStore.Len(); got != resident {
-		t.Fatalf("compacted index enumerates %d keys, Get found %d resident", got, resident)
+		t.Fatalf("reopened store counts %d keys, Get found %d resident", got, resident)
 	}
 	var fresh atomic.Int64
 	warmPool := &campaign.Pool{Workers: 4, Store: warmStore}

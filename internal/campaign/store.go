@@ -1,257 +1,152 @@
 package campaign
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Store is the content-addressed result store: canonical result bytes keyed
-// by job content hash. Reads hit an in-memory tier first, then (when the
-// store was opened with a directory) an on-disk tier laid out as
-// dir/<key[:2]>/<key>.json — the two-character fan-out keeps directories
-// small for hundred-thousand-job campaigns. The disk tier is what makes a
-// warm re-run of a campaign across process restarts perform zero fresh
-// simulations.
+// by job content hash. Reads hit the memory tier first, then (when the
+// store was opened with a directory) the disk tier. The disk tier is what
+// makes a warm re-run of a campaign across process restarts perform zero
+// fresh simulations.
 //
-// Opened with a StoreConfig the store is production-bounded: the disk
-// tier holds at most MaxBytes of value bytes, evicting least-recently-
-// used unpinned entries (the whole file — an entry is always either
-// fully present or absent), and the memory tier becomes a byte-bounded
-// hot cache instead of an unbounded map. Eviction is safe by
-// construction: a content-addressed entry can only be absent (forcing a
-// recomputation that produces the identical bytes) or byte-for-byte
-// correct, never stale or torn (DESIGN.md invariant 11). Pinned keys —
-// see PinLedger — are skipped by eviction, which is how trained-agent
-// snapshots referenced by live campaigns survive any pressure.
+// The disk tier is 1–256 shards (shard.go). The plain layout is the
+// one-shard case rooted at dir; a directory holding an INDEX.json manifest
+// has N shards under dir/shard-XX. Either way a shard lays its entries out
+// as <key[:2]>/<key>.json — the two-character fan-out keeps directories
+// small for hundred-thousand-job campaigns. The layout is read from disk
+// when the store opens, and the open scans every shard once: that scan
+// seeds the disk accounting, so the store knows every key on disk (Len,
+// Put dedup, the byte cap) from its first call.
+//
+// Opened with a byte cap (StoreConfig) the store is production-bounded:
+// each shard holds at most its share of MaxBytes, evicting least-recently-
+// used unpinned entries (the whole file — an entry is always either fully
+// present or absent), and the memory tier is a byte-bounded hot cache
+// rather than an uncapped one. Eviction is safe by construction: a
+// content-addressed entry can only be absent (forcing a recomputation that
+// produces the identical bytes) or byte-for-byte correct, never stale or
+// torn (DESIGN.md invariant 11). Pinned keys — see PinLedger — are skipped
+// by eviction, which is how trained-agent snapshots referenced by live
+// campaigns survive any pressure.
 type Store struct {
-	mu  sync.RWMutex
-	mem map[string][]byte // unbounded memory tier (nil when hot is set)
-	hot *hotCache         // bounded memory tier (may be shared across shards)
-	dir string
+	hot    *hotCache  // memory tier; uncapped unless the store is bounded
+	pins   *PinLedger // consulted by every shard's eviction
+	dir    string
+	mask   uint8    // shard index = first key byte & mask
+	shards []*shard // disk tier; nil for a memory-only store
 
-	pins *PinLedger // never nil; shards share the parent store's
+	hits, misses, puts atomic.Uint64
 
-	// Disk-tier accounting (dir != ""). disk maps every key known to be
-	// on disk to its LRU element; for unbounded stores it fills lazily
-	// (Put, Get disk hits, Stat probes), for bounded ones it is seeded
-	// by a full scan at open so the cap holds across restarts.
-	maxBytes  int64
-	diskBytes int64
-	disk      map[string]*list.Element
-	lru       *list.List      // front = most recently used; values are *diskEnt
-	writing   map[string]bool // keys with a value write in flight (dedup without holding mu across fsync)
-
-	// onEvict, when set, observes every disk-tier eviction after the file
-	// is removed; the sharded store uses it to keep its key index honest.
-	onEvict func(key string)
-
-	// publish marks a standalone disk store that owns the store-wide
-	// occupancy gauges; shards leave it false (their parent publishes the
-	// summed view from noteOccupancy instead).
-	publish bool
-
-	hits, misses, puts   uint64
-	diskWrites, putNoops uint64
-	evictions            uint64
-}
-
-type diskEnt struct {
-	key  string
-	size int64
+	gaugeMu sync.Mutex // serialises the store-wide occupancy gauge updates
 }
 
 // NewMemStore builds a memory-only store.
 func NewMemStore() *Store {
-	return &Store{mem: map[string][]byte{}, pins: NewPinLedger()}
+	return &Store{hot: newHotCache(0), pins: NewPinLedger()}
 }
 
-// NewStore builds an unbounded store backed by dir (created if missing);
-// an empty dir means memory-only. A directory holding a *sharded* layout
-// is refused: opening it flat would miss every stored key, silently
-// invalidating the whole cache — the caller should reopen with
-// NewShardedStore (-shards).
+// NewStore opens an unbounded store backed by dir (created if missing) in
+// whichever layout dir holds; an empty dir means memory-only.
 func NewStore(dir string) (*Store, error) {
 	return NewStoreWith(dir, StoreConfig{})
 }
 
-// NewStoreWith is NewStore with byte caps. Caps require a disk tier: a
-// memory-only store's map is authoritative storage, and evicting from it
-// would lose results rather than spill them.
+// NewStoreWith is NewStore with a StoreConfig: byte caps, and the shard
+// count of a fresh directory. Caps require a disk tier: a memory-only
+// store's memory is authoritative storage, and evicting from it would lose
+// results rather than spill them.
 func NewStoreWith(dir string, cfg StoreConfig) (*Store, error) {
-	var hot *hotCache
-	if cfg.bounded() {
-		hot = newHotCache(cfg.effHotBytes())
-	}
-	return newStoreTier(dir, cfg, hot, nil)
-}
-
-// newStoreTier is the shared constructor: a standalone store owns its
-// hot cache and pin ledger; a shard receives both from its parent so one
-// cache fronts all shards and one pin protects a key wherever it lands.
-func newStoreTier(dir string, cfg StoreConfig, hot *hotCache, pins *PinLedger) (*Store, error) {
-	if dir == "" && cfg.bounded() {
-		return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
-	}
-	s := NewMemStore()
-	if pins != nil {
-		s.pins = pins
-	}
 	if dir == "" {
-		return s, nil
+		if cfg.bounded() {
+			return nil, fmt.Errorf("campaign: store caps need a disk tier (-cache); a memory-only store cannot evict without losing results")
+		}
+		return NewMemStore(), nil
+	}
+	want, err := cfg.shardCount()
+	if err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: store dir: %w", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, shardManifestName)); err == nil {
-		return nil, fmt.Errorf("campaign: %s holds a sharded store (%s present); reopen it with the same -shards value it was created with", dir, shardManifestName)
+	// The root scan doubles as the plain layout's only shard scan, and as
+	// the check that a fresh sharded layout does not shadow plain entries.
+	plain, err := scanShard(dir)
+	if err != nil {
+		return nil, err
 	}
-	s.dir = dir
-	s.disk = map[string]*list.Element{}
-	s.lru = list.New()
-	s.writing = map[string]bool{}
-	s.publish = pins == nil
-	if cfg.bounded() {
-		s.maxBytes = cfg.MaxBytes
-		s.mem = nil
-		s.hot = hot
-		if err := s.loadDiskTier(); err != nil {
-			return nil, err
+	dirs, err := shardDirs(dir, want, len(plain) > 0)
+	if err != nil {
+		return nil, err
+	}
+	n := len(dirs)
+	capBytes := cfg.MaxBytes / int64(n)
+	if cfg.MaxBytes > 0 && capBytes == 0 {
+		capBytes = 1 // a cap below one byte per shard still bounds, never unbounds
+	}
+	s := &Store{hot: newHotCache(cfg.effHotBytes()), pins: NewPinLedger(), dir: dir, mask: uint8(n - 1)}
+	var victims []string
+	for i, sub := range dirs {
+		files := plain
+		if sub != dir {
+			if err := os.MkdirAll(sub, 0o755); err != nil {
+				return nil, fmt.Errorf("campaign: store dir: %w", err)
+			}
+			if files, err = scanShard(sub); err != nil {
+				return nil, err
+			}
 		}
+		sh := newShard(sub, i, capBytes, s.pins)
+		victims = append(victims, sh.load(files)...)
+		s.shards = append(s.shards, sh)
 	}
+	s.noteDisk(victims)
 	return s, nil
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
-}
-
-// loadDiskTier seeds the disk-tier accounting from the files already
-// present: every <2-hex>/<key>.json under dir, ordered oldest-modified
-// first so the LRU starts with a sensible cold end. Bounded stores need
-// this at open — the cap must hold over what a previous process wrote —
-// and it immediately evicts down to the cap if the directory arrives
-// over it (a cap lowered between runs).
-func (s *Store) loadDiskTier() error {
-	type onDisk struct {
-		key   string
-		size  int64
-		mtime time.Time
+// shardOf returns the disk shard that holds key, or nil when key has no
+// disk home (a memory-only store, or a key too short to fan out).
+func (s *Store) shardOf(key string) *shard {
+	if s.shards == nil || len(key) <= 2 {
+		return nil
 	}
-	var found []onDisk
-	entries, err := os.ReadDir(s.dir)
+	b, err := strconv.ParseUint(key[:2], 16, 8)
 	if err != nil {
-		return fmt.Errorf("campaign: store scan: %w", err)
+		return s.shards[0]
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || len(name) != 2 {
-			continue
-		}
-		if _, err := strconv.ParseUint(name, 16, 8); err != nil {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			fname := f.Name()
-			if f.IsDir() || filepath.Ext(fname) != ".json" {
-				continue
-			}
-			key := fname[:len(fname)-len(".json")]
-			if len(key) <= 2 || key[:2] != name {
-				continue
-			}
-			fi, err := f.Info()
-			if err != nil {
-				continue
-			}
-			found = append(found, onDisk{key: key, size: fi.Size(), mtime: fi.ModTime()})
-		}
-	}
-	// Oldest first, so the first PushFront calls land at the cold end.
-	for i := 0; i < len(found); i++ {
-		for j := i + 1; j < len(found); j++ {
-			if found[j].mtime.Before(found[i].mtime) {
-				found[i], found[j] = found[j], found[i]
-			}
-		}
-	}
-	s.mu.Lock()
-	for _, f := range found {
-		s.trackLocked(f.key, f.size)
-	}
-	victims := s.evictLocked()
-	s.publishLocked()
-	s.mu.Unlock()
-	s.notifyEvicted(victims)
-	return nil
-}
-
-// memGet reads the memory tier (whichever kind is configured).
-func (s *Store) memGet(key string) ([]byte, bool) {
-	if s.hot != nil {
-		return s.hot.get(key)
-	}
-	s.mu.RLock()
-	data, ok := s.mem[key]
-	s.mu.RUnlock()
-	return data, ok
-}
-
-// memPut fills the memory tier.
-func (s *Store) memPut(key string, data []byte) {
-	if s.hot != nil {
-		s.hot.put(key, data)
-		return
-	}
-	s.mu.Lock()
-	s.mem[key] = data
-	s.mu.Unlock()
+	return s.shards[uint8(b)&s.mask]
 }
 
 // Get returns the stored canonical result bytes for key, if present.
 func (s *Store) Get(key string) ([]byte, bool) {
 	start := time.Now()
 	defer func() { hStoreGet.Observe(time.Since(start).Seconds()) }()
-	if data, ok := s.memGet(key); ok {
-		s.mu.Lock()
-		s.hits++
-		if s.disk != nil {
-			s.touchLocked(key)
+	sh := s.shardOf(key)
+	data, ok := s.hot.get(key)
+	if ok {
+		if sh != nil {
+			sh.touch(key)
 		}
-		s.mu.Unlock()
-		cStoreHits.Inc()
-		return data, true
-	}
-	if s.dir != "" && len(key) > 2 {
-		if data, err := os.ReadFile(s.path(key)); err == nil {
-			s.memPut(key, data)
-			s.mu.Lock()
-			s.hits++
-			if _, tracked := s.disk[key]; tracked {
-				s.touchLocked(key)
-			} else {
-				// An unbounded store discovering a prior process's entry.
-				s.trackLocked(key, int64(len(data)))
-				s.publishLocked()
-			}
-			s.mu.Unlock()
-			cStoreHits.Inc()
-			return data, true
+	} else if sh != nil {
+		if data, ok = sh.read(key); ok {
+			s.hot.put(key, data)
 		}
 	}
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	cStoreMisses.Inc()
-	return nil, false
+	if !ok {
+		s.misses.Add(1)
+		cStoreMisses.Inc()
+		return nil, false
+	}
+	s.hits.Add(1)
+	cStoreHits.Inc()
+	return data, true
 }
 
 // Put stores canonical result bytes under key in memory and, when
@@ -273,205 +168,97 @@ func (s *Store) Put(key string, data []byte) error {
 	start := time.Now()
 	defer func() { hStorePut.Observe(time.Since(start).Seconds()) }()
 	cStorePuts.Inc()
-	s.memPut(key, data)
-	s.mu.Lock()
-	s.puts++
-	if s.dir == "" || len(key) <= 2 {
-		s.mu.Unlock()
+	s.hot.put(key, data)
+	s.puts.Add(1)
+	sh := s.shardOf(key)
+	if sh == nil {
 		return nil
 	}
-	if _, ok := s.disk[key]; ok || s.writing[key] {
-		// Already durable (or another goroutine is making it so).
-		if ok {
-			s.touchLocked(key)
-		}
-		s.putNoops++
-		s.mu.Unlock()
-		cStorePutNoops.Inc()
-		return nil
+	victims, wrote, err := sh.put(key, data)
+	if wrote {
+		s.noteDisk(victims)
 	}
-	if s.maxBytes > 0 && int64(len(data)) > s.maxBytes && !s.pins.Pinned(key) {
-		// The value alone exceeds this tier's cap: banking it would
-		// evict every peer in the shard and the value would still have
-		// to go — a whole shard of cache destroyed for nothing. Refuse
-		// it up front (it stays in the memory tier for this process and
-		// recomputes like any evicted key); a *pinned* oversized value
-		// is banked regardless, holding the store over cap exactly as a
-		// pinned eviction survivor would (Occupancy/readyz report it).
-		s.evictions++
-		s.mu.Unlock()
-		cStoreEvictions.Add(1)
-		return nil
-	}
-	s.writing[key] = true
-	s.mu.Unlock()
-
-	p := s.path(key)
-	// An unbounded store does not scan at open, so a prior process's
-	// entry surfaces here: one Stat instead of a rewrite.
-	if fi, err := os.Stat(p); err == nil {
-		s.mu.Lock()
-		delete(s.writing, key)
-		s.trackLocked(key, fi.Size())
-		s.putNoops++
-		s.publishLocked()
-		s.mu.Unlock()
-		cStorePutNoops.Inc()
-		return nil
-	}
-	var werr error
-	if werr = os.MkdirAll(filepath.Dir(p), 0o755); werr == nil {
-		werr = writeFileAtomic(p, data)
-	}
-	s.mu.Lock()
-	delete(s.writing, key)
-	var victims []string
-	if werr == nil {
-		s.diskWrites++
-		s.trackLocked(key, int64(len(data)))
-		victims = s.evictLocked()
-		s.publishLocked()
-	}
-	s.mu.Unlock()
-	if werr != nil {
-		return fmt.Errorf("campaign: store put: %w", werr)
-	}
-	cStoreDiskWrites.Inc()
-	s.notifyEvicted(victims)
-	return nil
+	return err
 }
 
-// trackLocked records key as on-disk with the given size (moving it to
-// the hot end if already tracked) and publishes the occupancy gauges.
-func (s *Store) trackLocked(key string, size int64) {
-	if e, ok := s.disk[key]; ok {
-		s.lru.MoveToFront(e)
-		ent := e.Value.(*diskEnt)
-		s.diskBytes += size - ent.size
-		ent.size = size
-		return
+// noteDisk runs after the disk tier changed: the hot cache drops every
+// evicted key (evicted ⇒ the next Get recomputes, crisply, across both
+// tiers) and the occupancy gauges are refreshed.
+func (s *Store) noteDisk(victims []string) {
+	for _, key := range victims {
+		s.hot.drop(key)
 	}
-	s.disk[key] = s.lru.PushFront(&diskEnt{key: key, size: size})
-	s.diskBytes += size
+	s.gaugeMu.Lock()
+	defer s.gaugeMu.Unlock()
+	var bytes int64
+	var keys int
+	for _, sh := range s.shards {
+		b, k := sh.usage()
+		sh.occupancy.Set(float64(k))
+		bytes += b
+		keys += k
+	}
+	gStoreDiskBytes.Set(float64(bytes))
+	gStoreDiskKeys.Set(float64(keys))
 }
 
-// publishLocked refreshes the store-wide occupancy gauges (standalone
-// disk stores only; a sharded store publishes its summed view itself).
-func (s *Store) publishLocked() {
-	if !s.publish {
-		return
-	}
-	gStoreDiskBytes.Set(float64(s.diskBytes))
-	gStoreDiskKeys.Set(float64(len(s.disk)))
-}
-
-// diskUsage reports the disk tier's current bytes and key count.
-func (s *Store) diskUsage() (bytes int64, keys int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.diskBytes, len(s.disk)
-}
-
-// diskKeys returns the keys currently tracked on disk. For bounded
-// stores this is exact (seeded by the open-time scan); the sharded store
-// rebuilds its per-shard index from it.
-func (s *Store) diskKeys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.disk))
-	for k := range s.disk {
-		out = append(out, k)
-	}
-	return out
-}
-
-// touchLocked marks key most-recently-used.
-func (s *Store) touchLocked(key string) {
-	if e, ok := s.disk[key]; ok {
-		s.lru.MoveToFront(e)
-	}
-}
-
-// evictLocked removes least-recently-used unpinned entries until the
-// disk tier fits its cap, returning the evicted keys (the caller runs
-// onEvict outside the lock). Pinned entries are skipped in place — a
-// clock-style pass — so a store whose pinned bytes exceed the cap simply
-// stays over it (and reports so through Occupancy/readyz) rather than
-// evicting a snapshot a live campaign depends on. File removal happens
-// inside the lock-held walk but is a plain unlink (no fsync); a
-// concurrent Get racing the unlink either reads the full old bytes or
-// misses — both correct.
-func (s *Store) evictLocked() []string {
-	if s.maxBytes <= 0 || s.diskBytes <= s.maxBytes {
-		return nil
-	}
-	var victims []string
-	for e := s.lru.Back(); e != nil && s.diskBytes > s.maxBytes; {
-		ent := e.Value.(*diskEnt)
-		prev := e.Prev()
-		if s.pins.Pinned(ent.key) {
-			e = prev
-			continue
-		}
-		os.Remove(s.path(ent.key))
-		s.lru.Remove(e)
-		delete(s.disk, ent.key)
-		s.diskBytes -= ent.size
-		s.evictions++
-		victims = append(victims, ent.key)
-		e = prev
-	}
-	cStoreEvictions.Add(uint64(len(victims)))
-	return victims
-}
-
-// notifyEvicted runs the eviction observers outside s.mu: the hot cache
-// drops its copy (evicted ⇒ the next Get recomputes, crisply) and the
-// sharded store prunes its key index.
-func (s *Store) notifyEvicted(keys []string) {
-	for _, key := range keys {
-		if s.hot != nil {
-			s.hot.drop(key)
-		}
-		if s.onEvict != nil {
-			s.onEvict(key)
-		}
-	}
-}
-
-// Occupancy snapshots the disk-tier accounting (Occupant interface).
+// Occupancy snapshots the disk-tier accounting (Occupant interface),
+// summed over shards.
 func (s *Store) Occupancy() Occupancy {
-	s.mu.RLock()
-	occ := Occupancy{
-		DiskBytes:  s.diskBytes,
-		CapBytes:   s.maxBytes,
-		DiskKeys:   len(s.disk),
-		DiskWrites: s.diskWrites,
-		PutNoops:   s.putNoops,
-		Evictions:  s.evictions,
+	var occ Occupancy
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		occ.DiskBytes += sh.diskBytes
+		occ.CapBytes += sh.maxBytes
+		occ.DiskKeys += len(sh.disk)
+		occ.DiskWrites += sh.diskWrites
+		occ.PutNoops += sh.putNoops
+		occ.Evictions += sh.evictions
+		sh.mu.RUnlock()
 	}
 	for _, key := range s.pins.PinnedKeys() {
-		if e, ok := s.disk[key]; ok {
-			occ.PinnedBytes += e.Value.(*diskEnt).size
-			occ.PinnedKeys++
+		if sh := s.shardOf(key); sh != nil {
+			sh.mu.RLock()
+			if e, ok := sh.disk[key]; ok {
+				occ.PinnedBytes += e.Value.(*diskEnt).size
+				occ.PinnedKeys++
+			}
+			sh.mu.RUnlock()
 		}
 	}
-	s.mu.RUnlock()
-	if s.hot != nil {
-		occ.HotBytes = s.hot.size()
-		occ.HotCapBytes = s.hot.max
-	}
+	occ.HotBytes = s.hot.size()
+	occ.HotCapBytes = s.hot.max
 	return occ
 }
 
-// Pin and Unpin implement PinStore on the ledger this store consults
-// during eviction.
+// Pin and Unpin implement PinStore on the ledger every shard consults
+// during eviction: a pinned key is never evicted, whichever shard holds it.
 func (s *Store) Pin(key string)   { s.pins.Pin(key) }
 func (s *Store) Unpin(key string) { s.pins.Unpin(key) }
 
+// Len returns the number of results the store holds: the keys on disk for
+// a disk-backed store (seeded by the open-time scan, so the count survives
+// a restart), the resident entries for a memory-only one.
+func (s *Store) Len() int {
+	if s.shards == nil {
+		return s.hot.lenKeys()
+	}
+	n := 0
+	for _, sh := range s.shards {
+		_, k := sh.usage()
+		n += k
+	}
+	return n
+}
+
+// Stats returns cumulative hit/miss/put counters.
+func (s *Store) Stats() (hits, misses, puts uint64) {
+	return s.hits.Load(), s.misses.Load(), s.puts.Load()
+}
+
 // writeFileAtomic writes data via temp-file + fsync + rename + directory
-// sync — the one crash-safety discipline shared by result values, the
-// sharded store's manifest, and compaction's keys.idx rewrite.
+// sync — the one crash-safety discipline shared by result values and the
+// sharded layout's manifest.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp*")
@@ -506,21 +293,4 @@ func syncDir(dir string) {
 	}
 	d.Sync()
 	d.Close()
-}
-
-// Len returns the number of results resident in the memory tier.
-func (s *Store) Len() int {
-	if s.hot != nil {
-		return s.hot.lenKeys()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.mem)
-}
-
-// Stats returns cumulative hit/miss/put counters.
-func (s *Store) Stats() (hits, misses, puts uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.hits, s.misses, s.puts
 }
