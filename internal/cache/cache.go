@@ -4,7 +4,10 @@
 // latency) and the hardware-phase performance counters (CMA, CMI).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Level identifies where an access was satisfied.
 type Level uint8
@@ -25,9 +28,14 @@ func (l Level) String() string {
 	return "DRAM"
 }
 
-// Cache is one set-associative LRU cache.
+// Cache is one set-associative LRU cache. The tag store is one flat array:
+// set s owns tags[s*ways : (s+1)*ways], kept in recency order (index 0 is
+// the most recently used), and fill[s] counts its resident lines. A tag is
+// resident exactly when it sits inside its set's fill, so there is no valid
+// bit and Invalidate only clears the counts.
 type Cache struct {
-	sets      [][]line
+	tags      []uint64
+	fill      []uint8
 	ways      int
 	lineShift uint
 	setMask   uint64
@@ -36,18 +44,15 @@ type Cache struct {
 	misses uint64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	// age implements LRU: lower = more recently used (index order maintained
-	// by move-to-front inside the set slice).
-}
-
 // New builds a cache of sizeBytes with the given associativity and line
-// size. Size, ways and line size must make a power-of-two number of sets.
+// size. Size, ways and line size must make a power-of-two number of sets,
+// and ways is at most 255 (the per-set fill count is one byte).
 func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %d/%d/%d", sizeBytes, ways, lineBytes)
+	}
+	if ways > math.MaxUint8 {
+		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", ways, math.MaxUint8)
 	}
 	if lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache: line size %d not a power of two", lineBytes)
@@ -61,16 +66,14 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: %d sets not a power of two", numSets)
 	}
 	c := &Cache{
-		sets:    make([][]line, numSets),
+		tags:    make([]uint64, numSets*ways),
+		fill:    make([]uint8, numSets),
 		ways:    ways,
 		setMask: uint64(numSets - 1),
 	}
 	for lineBytes > 1 {
 		lineBytes >>= 1
 		c.lineShift++
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, ways)
 	}
 	return c, nil
 }
@@ -88,25 +91,28 @@ func MustNew(sizeBytes, ways, lineBytes int) *Cache {
 // On miss the line is installed (allocate-on-miss for reads and writes).
 func (c *Cache) Access(byteAddr uint64) bool {
 	tag := byteAddr >> c.lineShift
-	set := c.sets[tag&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	s := tag & c.setMask
+	base := int(s) * c.ways
+	n := int(c.fill[s])
+	set := c.tags[base : base+n : base+c.ways]
+	for i, t := range set {
+		if t == tag {
 			// Move to front (most recently used).
-			l := set[i]
 			copy(set[1:i+1], set[:i])
-			set[0] = l
+			set[0] = tag
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
 	// Install at front, evicting LRU (the last element) if full.
-	if len(set) < c.ways {
-		set = append(set, line{})
-		c.sets[tag&c.setMask] = set
+	if n < c.ways {
+		n++
+		c.fill[s] = uint8(n)
+		set = set[:n]
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: tag, valid: true}
+	copy(set[1:], set[:n-1])
+	set[0] = tag
 	return false
 }
 
@@ -114,9 +120,10 @@ func (c *Cache) Access(byteAddr uint64) bool {
 // counters.
 func (c *Cache) Probe(byteAddr uint64) bool {
 	tag := byteAddr >> c.lineShift
-	set := c.sets[tag&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	s := tag & c.setMask
+	base := int(s) * c.ways
+	for _, t := range c.tags[base : base+int(c.fill[s])] {
+		if t == tag {
 			return true
 		}
 	}
@@ -130,11 +137,7 @@ func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Invalidate empties the cache (e.g., power-gating a core or cluster).
-func (c *Cache) Invalidate() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-}
+func (c *Cache) Invalidate() { clear(c.fill) }
 
 // Hierarchy is a two-level cache path (a core's L1 backed by its cluster's
 // shared L2). DRAM is implicit below L2.

@@ -153,20 +153,131 @@ func TestAccessCountInvariant(t *testing.T) {
 			return false
 		}
 		resident := 0
-		for _, set := range c.sets {
-			if len(set) > c.ways {
+		for _, n := range c.fill {
+			if int(n) > c.ways {
 				return false
 			}
-			for _, l := range set {
-				if l.valid {
-					resident++
-				}
-			}
+			resident += int(n)
 		}
 		return resident <= 512/32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is the naive reference model the flat cache must match: one
+// move-to-front list per set, most recently used first.
+type refCache struct {
+	sets         [][]uint64
+	ways         int
+	lineShift    uint
+	hits, misses uint64
+}
+
+func newRefCache(sizeBytes, ways, lineBytes int) *refCache {
+	r := &refCache{sets: make([][]uint64, sizeBytes/lineBytes/ways), ways: ways}
+	for lineBytes > 1 {
+		lineBytes >>= 1
+		r.lineShift++
+	}
+	return r
+}
+
+func (r *refCache) set(byteAddr uint64) (tag uint64, s int) {
+	tag = byteAddr >> r.lineShift
+	return tag, int(tag % uint64(len(r.sets)))
+}
+
+func (r *refCache) probe(byteAddr uint64) bool {
+	tag, s := r.set(byteAddr)
+	for _, t := range r.sets[s] {
+		if t == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) access(byteAddr uint64) bool {
+	tag, s := r.set(byteAddr)
+	list := r.sets[s]
+	for i, t := range list {
+		if t == tag {
+			r.sets[s] = append([]uint64{tag}, append(list[:i:i], list[i+1:]...)...)
+			r.hits++
+			return true
+		}
+	}
+	r.misses++
+	list = append([]uint64{tag}, list...)
+	if len(list) > r.ways {
+		list = list[:r.ways]
+	}
+	r.sets[s] = list
+	return false
+}
+
+// TestMatchesReferenceModel drives the flat cache and the reference model
+// with the same random operation streams — accesses, probes and
+// invalidations — under 1-, 4- and 16-way geometries, and requires them to
+// agree operation by operation: hit/miss, Probe and Stats.
+func TestMatchesReferenceModel(t *testing.T) {
+	geoms := [][3]int{
+		{1024, 1, 64},  // direct-mapped, 16 sets
+		{2048, 4, 64},  // 8 sets
+		{8192, 16, 32}, // 16 sets
+	}
+	for _, g := range geoms {
+		g := g
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := MustNew(g[0], g[1], g[2])
+			r := newRefCache(g[0], g[1], g[2])
+			for i := 0; i < 2000; i++ {
+				// A window of four times the capacity over-subscribes
+				// every set, so evictions and re-references both occur.
+				addr := uint64(rng.Intn(4 * g[0]))
+				switch op := rng.Intn(100); {
+				case op == 0:
+					c.Invalidate()
+					r.sets = make([][]uint64, len(r.sets))
+				case op < 20:
+					if c.Probe(addr) != r.probe(addr) {
+						return false
+					}
+				default:
+					if c.Access(addr) != r.access(addr) {
+						return false
+					}
+				}
+				if h, m := c.Stats(); h != r.hits || m != r.misses {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("%dB/%d-way/%dB-line: %v", g[0], g[1], g[2], err)
+		}
+	}
+}
+
+// TestWaysLimit: the per-set fill count is one byte, so New must refuse an
+// associativity it cannot count and accept the largest one it can.
+func TestWaysLimit(t *testing.T) {
+	if _, err := New(256*64, 256, 64); err == nil {
+		t.Fatal("New accepted 256 ways")
+	}
+	c, err := New(255*64, 255, 64)
+	if err != nil {
+		t.Fatalf("255 ways rejected: %v", err)
+	}
+	for a := uint64(0); a < 300*64; a += 64 {
+		c.Access(a)
+	}
+	if h, m := c.Stats(); h != 0 || m != 300 || int(c.fill[0]) != 255 {
+		t.Fatalf("255-way fill: %d hits %d misses fill %d", h, m, c.fill[0])
 	}
 }
 

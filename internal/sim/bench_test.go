@@ -9,7 +9,7 @@ package sim
 // Regenerate the committed BENCH_*.json baseline (and gate the pinned
 // Minstr/s throughput metrics against the prior one) with:
 //
-//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
+//	(go test -run '^$' -bench 'BenchmarkBurst|BenchmarkCoreStepCalls|BenchmarkFig1Workload|BenchmarkNewMachine' -benchmem -benchtime 0.5s -count 3 ./internal/sim/
 //	 go test -run '^$' -bench 'BenchmarkObserve' -benchmem -benchtime 0.5s -count 3 ./internal/rl/) \
 //	  | go run ./cmd/astro-bench -o BENCH_6.json -prev BENCH_5.json -max-regress 15
 
@@ -213,6 +213,76 @@ func TestSteadyStateBurstZeroAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(100, func() { step(m, c) })
 			if allocs != 0 {
 				t.Fatalf("steady-state quantum allocates %.1f objects/run, want 0", allocs)
+			}
+		})
+	}
+}
+
+// constructionCases are the machines whose construction cost is pinned: the
+// paper's board and the largest zoo shape (32 cores, so 32 L1 caches), each
+// running freqmine from an already-compiled program. Each budget is the
+// measured count (52 and 152 allocations) plus a headroom of 8, far below
+// the one-allocation-per-cache-set cost a regression to per-set slices
+// would bring back.
+var constructionCases = []struct {
+	name, plat string
+	budget     float64 // allocations per NewWithProgram
+}{
+	{"odroid-xu4", "odroid-xu4", 52 + 8},
+	{"zoo-16L16B", "zoo:16L16B:l1400@0.00:b2000@1.00", 152 + 8},
+}
+
+func constructionInputs(tb testing.TB, platName string) (*ir.Module, *hw.Platform, Options, *Program) {
+	tb.Helper()
+	spec, ok := workloads.ByName("freqmine")
+	if !ok {
+		tb.Fatal("freqmine not registered")
+	}
+	mod, err := spec.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plat, err := hw.ByName(platName)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mod, plat, Options{Seed: 1, Args: spec.SmallArgs()}, CompileModule(mod)
+}
+
+// TestNewMachineAllocBudget pins the cost of building a machine from a
+// prepared program: the backed memory prefix, two allocations per cache
+// and the per-core records, independent of MaxThreads × StackCells. The
+// first construction binds the program's cost variants; the budget covers
+// the steady state after it.
+func TestNewMachineAllocBudget(t *testing.T) {
+	for _, tc := range constructionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, plat, opts, prog := constructionInputs(t, tc.plat)
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := NewWithProgram(mod, plat, opts, prog); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocs per machine", allocs)
+			if allocs > tc.budget {
+				t.Fatalf("NewWithProgram allocates %.0f objects, budget %.0f", allocs, tc.budget)
+			}
+		})
+	}
+}
+
+// BenchmarkNewMachine measures machine construction alone (no Run) from a
+// prepared program: its B/op and allocs/op are the per-cell set-up cost
+// every short simulation pays.
+func BenchmarkNewMachine(b *testing.B) {
+	for _, tc := range constructionCases {
+		b.Run(tc.name, func(b *testing.B) {
+			mod, plat, opts, prog := constructionInputs(b, tc.plat)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewWithProgram(mod, plat, opts, prog); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

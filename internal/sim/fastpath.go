@@ -212,12 +212,15 @@ loop:
 
 		case ir.OpLoadI, ir.OpLoadF:
 			addr := int64(regs[ci.a])
-			if addr < 0 || addr >= int64(len(mem)) {
+			if uint64(addr) < uint64(len(mem)) {
+				regs[ci.dst] = mem[addr]
+			} else if addr < 0 || addr >= m.memCells {
 				m.fail("load from invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 				status = stErr
 				break loop
+			} else {
+				regs[ci.dst] = 0 // past the backed prefix
 			}
-			regs[ci.dst] = mem[addr]
 			acc++
 			var lat float64
 			switch c.hier.Access(uint64(addr) * 8) {
@@ -233,12 +236,16 @@ loop:
 			fpc++
 		case ir.OpStoreI, ir.OpStoreF:
 			addr := int64(regs[ci.a])
-			if addr < 0 || addr >= int64(len(mem)) {
+			if uint64(addr) < uint64(len(mem)) {
+				mem[addr] = regs[ci.b]
+			} else if addr < 0 || addr >= m.memCells {
 				m.fail("store to invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 				status = stErr
 				break loop
+			} else {
+				mem = m.growMem(addr)
+				mem[addr] = regs[ci.b]
 			}
-			mem[addr] = regs[ci.b]
 			acc++
 			var lat float64
 			switch c.hier.Access(uint64(addr) * 8) {
@@ -459,19 +466,26 @@ loop:
 			}
 			addr := int64(regs[ci.dst])
 			if ci.op == opLAddrLoad || ci.op == opGAddrLoad {
-				if addr < 0 || addr >= int64(len(mem)) {
+				if uint64(addr) < uint64(len(mem)) {
+					regs[ci.c] = mem[addr]
+				} else if addr < 0 || addr >= m.memCells {
 					m.fail("load from invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 					status = stErr
 					break loop
+				} else {
+					regs[ci.c] = 0 // past the backed prefix
 				}
-				regs[ci.c] = mem[addr]
 			} else {
-				if addr < 0 || addr >= int64(len(mem)) {
+				if uint64(addr) < uint64(len(mem)) {
+					mem[addr] = regs[ci.c]
+				} else if addr < 0 || addr >= m.memCells {
 					m.fail("store to invalid address %d in %s (thread %d)", addr, cf.fn.Name, t.ID)
 					status = stErr
 					break loop
+				} else {
+					mem = m.growMem(addr)
+					mem[addr] = regs[ci.c]
 				}
-				mem[addr] = regs[ci.c]
 			}
 			acc++
 			var lat float64

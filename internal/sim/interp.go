@@ -336,18 +336,25 @@ func (m *Machine) runBurst(c *core, t *Thread, budget float64, bc *burstCtx) bur
 
 		case ir.OpLoadI, ir.OpLoadF:
 			addr := int64(fr.regs[in.A])
-			if addr < 0 || addr >= int64(len(m.mem)) {
+			if addr < 0 || addr >= m.memCells {
 				m.fail("load from invalid address %d in %s (thread %d)", addr, fr.fn.Name, t.ID)
 				return stErr
 			}
-			fr.regs[in.Dst] = m.mem[addr]
+			var v uint64 // cells past the backed prefix read as zero
+			if addr < int64(len(m.mem)) {
+				v = m.mem[addr]
+			}
+			fr.regs[in.Dst] = v
 			bc.cycles += spec.CPIMem + m.memLatency(c, addr, bc)
 			fr.pc++
 		case ir.OpStoreI, ir.OpStoreF:
 			addr := int64(fr.regs[in.A])
-			if addr < 0 || addr >= int64(len(m.mem)) {
+			if addr < 0 || addr >= m.memCells {
 				m.fail("store to invalid address %d in %s (thread %d)", addr, fr.fn.Name, t.ID)
 				return stErr
+			}
+			if addr >= int64(len(m.mem)) {
+				m.growMem(addr)
 			}
 			m.mem[addr] = fr.regs[in.B]
 			bc.cycles += spec.CPIMem + m.memLatency(c, addr, bc)

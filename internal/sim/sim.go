@@ -146,8 +146,15 @@ type Machine struct {
 	prog *Program // precompiled fast-path code (nil with Options.LegacyInterp)
 	opts Options
 
+	// The simulated address space is memCells cells: the globals, then
+	// MaxThreads stacks of StackCells each. mem backs only a prefix of it
+	// and grows (growMem) when a store lands past its end; every cell past
+	// the prefix reads as zero. Backing is an acceleration structure, never
+	// a behavioural input: which cells are backed changes no result.
 	mem      []uint64
+	memCells int64
 	cores    []*core
+	active   []int // active core indices in core order; see ActiveCoreIDs
 	l2       map[hw.CoreType]*cache.Cache
 	threads  []*Thread
 	live     int // threads not yet done
@@ -266,8 +273,8 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		l2:       map[hw.CoreType]*cache.Cache{},
 		rngState: uint64(opts.Seed)*2654435761 + 0x9E3779B97F4A7C15,
 	}
-	memCells := mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
-	m.mem = make([]uint64, memCells)
+	m.memCells = mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
+	m.mem = make([]uint64, min(m.memCells, mod.GlobalCells()+opts.StackCells))
 	for ct, kb := range plat.L2KB {
 		m.l2[ct] = cache.MustNew(kb*1024, plat.L2Ways, plat.LineBytes)
 	}
@@ -300,6 +307,7 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 	for _, ci := range plat.ActiveCores(cfg) {
 		m.cores[ci].active = true
 	}
+	m.rebuildActive()
 	m.cfg = cfg
 	if opts.SampleS > 0 {
 		m.samples = &powmon.Series{IntervalS: opts.SampleS}
@@ -321,15 +329,37 @@ func (m *Machine) Config() hw.Config { return m.cfg }
 // Now returns the current virtual time in seconds.
 func (m *Machine) Now() float64 { return m.now }
 
-// ActiveCoreIDs lists the currently active core indices.
-func (m *Machine) ActiveCoreIDs() []int {
-	var out []int
+// ActiveCoreIDs lists the currently active core indices in ascending
+// order. The slice is shared and read-only: callers must not modify it. A
+// configuration change installs a fresh list rather than rewriting this
+// one, so a slice obtained earlier keeps its contents.
+func (m *Machine) ActiveCoreIDs() []int { return m.active }
+
+// rebuildActive recomputes the shared active-core list into a fresh slice
+// after the cores' active flags change.
+func (m *Machine) rebuildActive() {
+	var ids []int
 	for _, c := range m.cores {
 		if c.active {
-			out = append(out, c.idx)
+			ids = append(ids, c.idx)
 		}
 	}
-	return out
+	m.active = ids
+}
+
+// growMem extends the backed prefix of the address space so that it covers
+// addr, doubling its length (capped at memCells), and returns the new
+// prefix. The caller has checked 0 <= addr < memCells. Cells past the old
+// prefix were never written, so the zeroed extension holds their values.
+func (m *Machine) growMem(addr int64) []uint64 {
+	n := max(int64(len(m.mem)), 1)
+	for n <= addr {
+		n *= 2
+	}
+	grown := make([]uint64, min(n, m.memCells))
+	copy(grown, m.mem)
+	m.mem = grown
+	return grown
 }
 
 // CoreType returns the type of core i.

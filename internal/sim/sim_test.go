@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -436,5 +437,29 @@ func TestRandBuiltinsDeterministicPerSeed(t *testing.T) {
 	b := run(t, src, Options{Seed: 5})
 	if a.Output[0] != b.Output[0] || a.Output[1] != b.Output[1] {
 		t.Fatalf("rand not deterministic: %v vs %v", a.Output, b.Output)
+	}
+}
+
+// TestActiveCoreIDsSharedList: ActiveCoreIDs returns one shared list,
+// without allocating, in ascending core order, and a configuration change
+// installs a fresh list instead of rewriting the one a caller holds.
+func TestActiveCoreIDsSharedList(t *testing.T) {
+	m, err := New(compile(t, `func main() { }`), hw.OdroidXU4(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := m.ActiveCoreIDs()
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(all, want) {
+		t.Fatalf("all-on list %v, want %v", all, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.ActiveCoreIDs() }); allocs != 0 {
+		t.Fatalf("ActiveCoreIDs allocates %.0f objects", allocs)
+	}
+	m.requestConfig(hw.Config{Little: 1, Big: 2})
+	if got, want := m.ActiveCoreIDs(), []int{0, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("1L2B list %v, want %v", got, want)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(all, want) {
+		t.Fatalf("held list rewritten to %v by a configuration change", all)
 	}
 }

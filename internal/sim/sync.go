@@ -279,6 +279,7 @@ func (m *Machine) requestConfig(cfg hw.Config) {
 			c.idleFrom = maxf(c.idleFrom, stallEnd)
 		}
 	}
+	m.rebuildActive()
 	for _, t := range displaced {
 		t.state = tsReady
 		m.placeThread(t)

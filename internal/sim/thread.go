@@ -206,9 +206,13 @@ func (m *Machine) pushFramePrepared(t *Thread, fnIdx int, fn *ir.Function, regs 
 			return nil, fmt.Errorf("sim: stack overflow in thread %d calling %s (%d cells > %d)",
 				t.ID, fn.Name, t.sp-t.stackBase, m.opts.StackCells)
 		}
-		// Zero the freshly allocated frame arrays for determinism.
-		for i := fr.arrays[0]; i < t.sp; i++ {
-			m.mem[i] = 0
+		// A frame's arrays start zeroed. Cells a popped frame wrote may
+		// still hold its values, so clear the part of the new frame that
+		// lies inside the backed prefix; cells past it already read as
+		// zero. Never grow the prefix here: the fast path holds m.mem in a
+		// local across calls, and only its own stores may replace it.
+		if lo, hi := fr.arrays[0], min(t.sp, int64(len(m.mem))); lo < hi {
+			clear(m.mem[lo:hi])
 		}
 	}
 	t.frames = append(t.frames, fr)

@@ -97,8 +97,11 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
+	// Count first: a reader that sees this bucket increment then also
+	// sees the count's, so a snapshot's bucket total never exceeds a
+	// count read after it.
 	h.count.Add(1)
+	h.buckets[i].Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
