@@ -153,7 +153,7 @@ func ablationSet(b *testing.B) (*trace.Set, *hw.Platform) {
 			CheckpointS: 160e-6,
 			QuantumS:    50e-6,
 			TickS:       100e-6,
-		}, nil)
+		}, nil, 1) // one worker: the ablation keeps measuring serial recording
 	})
 	if ablErr != nil {
 		b.Fatal(ablErr)

@@ -174,8 +174,7 @@ func (w *Worker) postDrain() {
 	req.Header.Set("Content-Type", "application/json")
 	w.setAuth(req)
 	if resp, err := w.client().Do(req); err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
+		drainClose(resp.Body)
 	}
 }
 
@@ -396,13 +395,12 @@ func (w *Worker) renewLoop(ctx context.Context, interval time.Duration, heldKeys
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
+			drainClose(resp.Body)
 			continue
 		}
 		var rr RenewResponse
 		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rr)
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if decErr != nil {
 			continue
 		}
@@ -420,6 +418,15 @@ func (w *Worker) renewLoop(ctx context.Context, interval time.Duration, heldKeys
 			markLost(gone)
 		}
 	}
+}
+
+// drainClose reads what is left of a response body, up to a small bound,
+// and closes it. A JSON decoder stops at the end of its value, before the
+// body's EOF, and a body closed short of EOF costs the transport its
+// connection: the next request would dial a new one.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 1<<12))
+	body.Close()
 }
 
 func backoff(base time.Duration, n int) time.Duration {
@@ -474,9 +481,8 @@ func (w *Worker) lease(ctx context.Context) ([]*WireJob, time.Duration, time.Dur
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
 		return nil, 0, 0, fmt.Errorf("campaign: lease: coordinator returned %s", resp.Status)
 	}
 	var lr LeaseResponse
@@ -672,14 +678,13 @@ func (w *Worker) submit(ctx context.Context, sub ResultSubmission) (CompleteStat
 		// request wholesale — treating it as success would silently discard
 		// a computed simulation, so it is a retryable error.
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusUnprocessableEntity {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-			resp.Body.Close()
+			drainClose(resp.Body)
 			lastErr = fmt.Errorf("campaign: result submission: coordinator returned %s", resp.Status)
 			continue
 		}
 		var rr ResultResponse
 		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rr)
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if decErr != nil {
 			lastErr = decErr
 			continue

@@ -434,7 +434,7 @@ func (x *AgentExchange) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -467,8 +467,7 @@ func (x *AgentExchange) Put(key string, data []byte) error {
 	req.Header.Set("Content-Type", "application/json")
 	x.setAuth(req)
 	if resp, err := x.client().Do(req); err == nil {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12))
-		resp.Body.Close()
+		drainClose(resp.Body)
 	}
 	return nil
 }

@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -59,6 +61,56 @@ func TestWorkerExecutesLeasedCells(t *testing.T) {
 	st := q.Stats()
 	if len(st.Workers) != 1 || st.Workers[0].Completed != len(jobs) {
 		t.Fatalf("worker status: %+v", st.Workers)
+	}
+}
+
+// TestWorkerReusesConnections pins that the worker reads every response
+// body to EOF before closing it, so its transport keeps the connections
+// alive: over 50 cells a worker with Parallel executors opens at most
+// Parallel+2 (one per executor submitting, the lease loop, the heartbeat).
+// Five cells per lease make the lease bodies long enough to be chunked, the
+// case where a decoder leaves the terminating chunk unread.
+func TestWorkerReusesConnections(t *testing.T) {
+	var seeds []int64
+	for s := int64(1); s <= 25; s++ {
+		seeds = append(seeds, s)
+	}
+	spec := Spec{Benchmarks: []string{"micro"}, Seeds: seeds}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 50 {
+		t.Fatalf("%d cells, want 50", len(jobs))
+	}
+	store := NewMemStore()
+	q := NewWorkQueue(time.Minute)
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(http.StripPrefix("/work", WorkHandler(q, store)))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	const parallel = 2
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &Worker{Coordinator: srv.URL + "/work", ID: "w-conns", Parallel: parallel, Max: 5,
+		Poll: 5 * time.Millisecond, Client: &http.Client{Transport: transport}}
+	stopped := make(chan struct{})
+	go func() { w.Run(ctx); close(stopped) }()
+	_, err = (&RemoteRunner{Queue: q, Store: store}).Run(context.Background(), jobs, nil)
+	cancel()
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := opened.Load(); n > parallel+2 {
+		t.Fatalf("worker opened %d connections for %d cells, want at most %d", n, len(jobs), parallel+2)
 	}
 }
 

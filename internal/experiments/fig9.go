@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"astro/internal/hw"
 	"astro/internal/rl"
@@ -39,7 +40,7 @@ func Fig9(sc Scale) (*Fig9Result, error) {
 	// many rows per trace for the learners to see phase structure (the
 	// paper's traces span hundreds of 500 ms checkpoints).
 	opts.CheckpointS /= 2.5
-	set, err := trace.RecordSet(art.learning, plat, opts, nil) // all 24 configs
+	set, err := trace.RecordSet(art.learning, plat, opts, nil, Workers()) // all 24 configs
 	if err != nil {
 		return nil, fmt.Errorf("fig9: %w", err)
 	}
@@ -72,37 +73,36 @@ func Fig9(sc Scale) (*Fig9Result, error) {
 	}
 	add("Oracle(T)", ot)
 
-	// Astro: train the neural Q-learner on replays, then exploit. Replays
-	// are cheap (no simulation), so the training budget is generous.
+	// Astro, and Hipster (the same learner without program phases): train
+	// the neural Q-learners on replays, then exploit. Replays are cheap (no
+	// simulation), so the training budget is generous. Each learner owns its
+	// agent and Replay only reads the set, so the two train at the same time
+	// on up to Workers() goroutines.
 	episodes := 12 * episodesFor(sc)
-	astroAgent := rl.NewDQN(plat.NumConfigs(), rl.DQNConfig{Seed: 101, LR: 0.05})
-	astro := trace.NewAstroReplay(astroAgent, plat, true)
-	for ep := 0; ep < episodes; ep++ {
-		if _, err := set.Replay(astro, start); err != nil {
-			return nil, err
+	learners := []*trace.RLPolicy{
+		trace.NewAstroReplay(rl.NewDQN(plat.NumConfigs(), rl.DQNConfig{Seed: 101, LR: 0.05}), plat, true),
+		trace.NewHipsterReplay(rl.NewDQN(plat.NumConfigs(), rl.DQNConfig{Seed: 102, LR: 0.05}), plat, true),
+	}
+	learned := make([]trace.ReplayResult, len(learners))
+	errs := make([]error, len(learners))
+	slots := make(chan struct{}, Workers())
+	var wg sync.WaitGroup
+	for i, pol := range learners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			learned[i], errs[i] = trainReplay(set, pol, start, episodes)
+		}()
+	}
+	wg.Wait()
+	for i, name := range []string{"Astro", "Hipster"} {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		add(name, learned[i])
 	}
-	astro.Learn = false
-	ar, err := set.Replay(astro, start)
-	if err != nil {
-		return nil, err
-	}
-	add("Astro", ar)
-
-	// Hipster: same learner without program phases.
-	hipAgent := rl.NewDQN(plat.NumConfigs(), rl.DQNConfig{Seed: 102, LR: 0.05})
-	hip := trace.NewHipsterReplay(hipAgent, plat, true)
-	for ep := 0; ep < episodes; ep++ {
-		if _, err := set.Replay(hip, start); err != nil {
-			return nil, err
-		}
-	}
-	hip.Learn = false
-	hr, err := set.Replay(hip, start)
-	if err != nil {
-		return nil, err
-	}
-	add("Hipster", hr)
 
 	// Octopus-Man ladder and the random control.
 	or, err := set.Replay(trace.NewOctopusReplay(plat), hw.Config{Little: 1})
@@ -117,6 +117,18 @@ func Fig9(sc Scale) (*Fig9Result, error) {
 	add("Random", rr)
 
 	return out, nil
+}
+
+// trainReplay trains pol over episodes learning replays from start, then
+// returns its greedy replay.
+func trainReplay(set *trace.Set, pol *trace.RLPolicy, start hw.Config, episodes int) (trace.ReplayResult, error) {
+	for ep := 0; ep < episodes; ep++ {
+		if _, err := set.Replay(pol, start); err != nil {
+			return trace.ReplayResult{}, err
+		}
+	}
+	pol.Learn = false
+	return set.Replay(pol, start)
 }
 
 // Row returns a strategy's row (nil if absent).

@@ -62,6 +62,28 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
+// TestFig9WidthIdentity pins that fig9's parallel trace recording and
+// concurrent learner training leave the figure untouched: the rendered
+// output on one executor worker and on four is byte-identical.
+func TestFig9WidthIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace study is slow")
+	}
+	defer Configure(ExecConfig{Workers: Workers()})
+	var outs []string
+	for _, workers := range []int{1, 4} {
+		Configure(ExecConfig{Workers: workers})
+		r, err := Fig9(Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, r.Render())
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("fig9 differs between 1 and 4 workers:\n-- 1 --\n%s\n-- 4 --\n%s", outs[0], outs[1])
+	}
+}
+
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("device study is slow")

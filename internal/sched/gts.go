@@ -22,24 +22,55 @@ func NewGTS() *GTS { return &GTS{UpLoad: 0.55, DownLoad: 0.25} }
 // Name implements sim.OSPolicy.
 func (g *GTS) Name() string { return "gts" }
 
-func (g *GTS) split(m *sim.Machine) (bigs, littles []int) {
+// cluster selects active cores by type. Placement filters the machine's
+// shared active-core list in place instead of copying it into per-cluster
+// slices, so GTS allocates nothing per decision and stays stateless (one
+// instance may serve several machines at once).
+type cluster uint8
+
+const (
+	bigCluster cluster = 1 << iota
+	littleCluster
+	anyCluster = bigCluster | littleCluster
+)
+
+func clusterOf(m *sim.Machine, ci int) cluster {
+	if m.CoreType(ci) == hw.Big {
+		return bigCluster
+	}
+	return littleCluster
+}
+
+// clusterSizes counts the active big and LITTLE cores.
+func clusterSizes(m *sim.Machine) (bigs, littles int) {
 	for _, ci := range m.ActiveCoreIDs() {
-		if m.CoreType(ci) == hw.Big {
-			bigs = append(bigs, ci)
+		if clusterOf(m, ci) == bigCluster {
+			bigs++
 		} else {
-			littles = append(littles, ci)
+			littles++
 		}
 	}
 	return
 }
 
-func leastLoaded(m *sim.Machine, cores []int, prefer int) int {
+// leastLoaded returns the active core in cl with the shortest run queue,
+// keeping prefer on a tie. It visits the bigs, then the LITTLEs, each in
+// core order: the order in which tie-breaks resolve.
+func leastLoaded(m *sim.Machine, cl cluster, prefer int) int {
 	best := -1
 	bestLen := 0
-	for _, ci := range cores {
-		l := m.QueueLen(ci)
-		if best == -1 || l < bestLen || (l == bestLen && ci == prefer) {
-			best, bestLen = ci, l
+	for _, pass := range [...]cluster{bigCluster, littleCluster} {
+		if cl&pass == 0 {
+			continue
+		}
+		for _, ci := range m.ActiveCoreIDs() {
+			if clusterOf(m, ci) != pass {
+				continue
+			}
+			l := m.QueueLen(ci)
+			if best == -1 || l < bestLen || (l == bestLen && ci == prefer) {
+				best, bestLen = ci, l
+			}
 		}
 	}
 	return best
@@ -48,19 +79,18 @@ func leastLoaded(m *sim.Machine, cores []int, prefer int) int {
 // PlaceThread implements sim.OSPolicy. New tasks start on big cores
 // (performance-first, as GTS does); thereafter tracked load decides.
 func (g *GTS) PlaceThread(m *sim.Machine, t *sim.Thread) int {
-	bigs, littles := g.split(m)
+	bigs, littles := clusterSizes(m)
 	switch {
-	case len(bigs) == 0:
-		return leastLoaded(m, littles, t.Core())
-	case len(littles) == 0:
-		return leastLoaded(m, bigs, t.Core())
+	case bigs == 0:
+		return leastLoaded(m, littleCluster, t.Core())
+	case littles == 0:
+		return leastLoaded(m, bigCluster, t.Core())
 	case t.Instructions() == 0 || t.Load >= g.UpLoad:
-		return leastLoaded(m, bigs, t.Core())
+		return leastLoaded(m, bigCluster, t.Core())
 	case t.Load <= g.DownLoad:
-		return leastLoaded(m, littles, t.Core())
+		return leastLoaded(m, littleCluster, t.Core())
 	default:
-		all := append(append([]int(nil), bigs...), littles...)
-		return leastLoaded(m, all, t.Core())
+		return leastLoaded(m, anyCluster, t.Core())
 	}
 }
 
@@ -68,38 +98,43 @@ func (g *GTS) PlaceThread(m *sim.Machine, t *sim.Thread) int {
 // cores, down-migrate light tasks hogging big cores, then even out queue
 // lengths inside each cluster.
 func (g *GTS) Rebalance(m *sim.Machine) {
-	bigs, littles := g.split(m)
-	if len(bigs) > 0 && len(littles) > 0 {
+	bigs, littles := clusterSizes(m)
+	if bigs > 0 && littles > 0 {
 		for _, t := range m.Threads() {
 			if !t.Ready() {
 				continue
 			}
 			onBig := m.CoreType(t.Core()) == hw.Big
 			if !onBig && t.Load >= g.UpLoad {
-				target := leastLoaded(m, bigs, t.Core())
+				target := leastLoaded(m, bigCluster, t.Core())
 				if m.QueueLen(target) <= m.QueueLen(t.Core()) {
 					m.MigrateThread(t, target)
 				}
 			} else if onBig && t.Load > 0 && t.Load <= g.DownLoad {
-				target := leastLoaded(m, littles, t.Core())
+				target := leastLoaded(m, littleCluster, t.Core())
 				if m.QueueLen(target) <= m.QueueLen(t.Core())+1 {
 					m.MigrateThread(t, target)
 				}
 			}
 		}
 	}
-	g.evenCluster(m, bigs)
-	g.evenCluster(m, littles)
+	g.evenCluster(m, bigCluster, bigs)
+	g.evenCluster(m, littleCluster, littles)
 }
 
-func (g *GTS) evenCluster(m *sim.Machine, cores []int) {
-	if len(cores) < 2 {
+// evenCluster moves ready threads from the longest to the shortest run
+// queue among the n active cores of cl until they differ by at most one.
+func (g *GTS) evenCluster(m *sim.Machine, cl cluster, n int) {
+	if n < 2 {
 		return
 	}
 	for iter := 0; iter < 8; iter++ {
 		minC, maxC := -1, -1
 		minL, maxL := 0, 0
-		for _, ci := range cores {
+		for _, ci := range m.ActiveCoreIDs() {
+			if clusterOf(m, ci) != cl {
+				continue
+			}
 			l := m.QueueLen(ci)
 			if minC == -1 || l < minL {
 				minC, minL = ci, l

@@ -224,6 +224,35 @@ func TestGTSPlacementWithoutBigCores(t *testing.T) {
 	}
 }
 
+// TestGTSPlacementAllocatesNothing pins that GTS filters the machine's
+// active-core list in place: no placement branch allocates, even on a
+// 32-core board.
+func TestGTSPlacementAllocatesNothing(t *testing.T) {
+	plat, err := hw.ByName("zoo:16L16B:l1400@0.00:b2000@1.00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(compileT(t, `func main() { }`), plat, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGTS()
+	threads := []*sim.Thread{
+		sim.NewThreadForTest(0, 0, -1),       // new: performance-first
+		sim.NewThreadForTest(0.9, 1000, 3),   // heavy: bigs
+		sim.NewThreadForTest(0.05, 1000, 20), // light: LITTLEs
+		sim.NewThreadForTest(0.4, 1000, 7),   // in between: every core
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, th := range threads {
+			g.PlaceThread(m, th)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("GTS placement allocates %.1f times per round, want 0", allocs)
+	}
+}
+
 func TestGTSRunsRealWorkload(t *testing.T) {
 	src := `
 func spin(n int) {

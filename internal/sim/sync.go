@@ -191,19 +191,25 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 		return stBlocked
 
 	case ir.BPrintInt:
-		m.emit(fmt.Sprintf("%d", argI(0)))
+		if m.opts.CaptureOutput {
+			m.emit(fmt.Sprintf("%d", argI(0)))
+		}
 		m.blockThread(t, brIO)
 		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
 		return stBlocked
 
 	case ir.BPrintFloat:
-		m.emit(fmt.Sprintf("%g", argF(0)))
+		if m.opts.CaptureOutput {
+			m.emit(fmt.Sprintf("%g", argF(0)))
+		}
 		m.blockThread(t, brIO)
 		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
 		return stBlocked
 
 	case ir.BPrintChar:
-		m.emit(string(rune(argI(0))))
+		if m.opts.CaptureOutput {
+			m.emit(string(rune(argI(0))))
+		}
 		m.blockThread(t, brIO)
 		m.wakeAt(t, m.now+m.jitter(m.opts.WriteLatencyS, 0.3))
 		return stBlocked
@@ -223,11 +229,9 @@ func (m *Machine) execSyncBuiltin(c *core, t *Thread, fr *frame, in *ir.Instr, b
 	return stErr
 }
 
-// emit records program output when capture is enabled.
+// emit records program output. Callers check CaptureOutput first, so a run
+// that does not capture output never formats it.
 func (m *Machine) emit(s string) {
-	if !m.opts.CaptureOutput {
-		return
-	}
 	if len(m.output) >= m.opts.MaxOutput {
 		m.outTrunc = true
 		return

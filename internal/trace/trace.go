@@ -9,6 +9,8 @@ package trace
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"astro/internal/features"
 	"astro/internal/hw"
@@ -152,20 +154,48 @@ type Set struct {
 
 // RecordSet records traces for every configuration in configs (all 24 by
 // default if configs is nil). This is the expensive exhaustive step the
-// paper performs once, for fluidanimate.
-func RecordSet(mod *ir.Module, plat *hw.Platform, opts sim.Options, configs []hw.Config) (*Set, error) {
+// paper performs once, for fluidanimate. The recordings are independent
+// simulations, so up to workers of them run at once; each trace lands at
+// its configuration's index, which makes the Set identical to a serial
+// recording at any width. On failure it returns the error of the first
+// failing configuration in configs order: configurations are claimed in
+// order and none is claimed after a failure, so every configuration before
+// a failing one has finished when the errors are read.
+func RecordSet(mod *ir.Module, plat *hw.Platform, opts sim.Options, configs []hw.Config, workers int) (*Set, error) {
 	if configs == nil {
 		configs = plat.Configs()
 	}
-	s := &Set{Plat: plat, Traces: map[int]*Trace{}}
-	for _, cfg := range configs {
-		tr, err := Record(mod, plat, cfg, opts)
-		if err != nil {
-			return nil, err
+	traces := make([]*Trace, len(configs))
+	errs := make([]error, len(configs))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for range min(max(workers, 1), len(configs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(configs) {
+					return
+				}
+				if traces[i], errs[i] = Record(mod, plat, configs[i], opts); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := &Set{Plat: plat, Traces: make(map[int]*Trace, len(configs))}
+	for i, cfg := range configs {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		s.Traces[plat.ConfigID(cfg)] = tr
+		s.Traces[plat.ConfigID(cfg)] = traces[i]
 		if s.Work == 0 {
-			s.Work = tr.TotalInstr
+			s.Work = traces[i].TotalInstr
 		}
 	}
 	return s, nil

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,14 +63,7 @@ func buildSet(t *testing.T, configs []hw.Config) (*Set, *ir.Module, *hw.Platform
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := sim.Options{
-		Args:        []int64{12000, 4},
-		Seed:        1,
-		CheckpointS: 200e-6,
-		QuantumS:    50e-6,
-		TickS:       100e-6,
-	}
-	set, err := RecordSet(instrMod, plat, opts, configs)
+	set, err := RecordSet(instrMod, plat, testOpts, configs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +72,75 @@ func buildSet(t *testing.T, configs []hw.Config) (*Set, *ir.Module, *hw.Platform
 	return set, instrMod, plat
 }
 
+var testOpts = sim.Options{
+	Args:        []int64{12000, 4},
+	Seed:        1,
+	CheckpointS: 200e-6,
+	QuantumS:    50e-6,
+	TickS:       100e-6,
+}
+
 var testConfigs = []hw.Config{
 	{Little: 1}, {Little: 4}, {Big: 1}, {Big: 4}, {Little: 4, Big: 4}, {Little: 2, Big: 2},
+}
+
+// TestRecordSetWidths pins that parallel recording is invisible in the
+// result: the sets recorded on 1, 2 and 8 workers are deeply equal.
+func TestRecordSetWidths(t *testing.T) {
+	_, mod, plat := buildSet(t, testConfigs)
+	serial, err := RecordSet(mod, plat, testOpts, testConfigs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 8} {
+		set, err := RecordSet(mod, plat, testOpts, testConfigs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, set) {
+			t.Errorf("set recorded on %d workers differs from the serial recording", workers)
+		}
+	}
+}
+
+// TestRecordSetFirstErrorAtEveryWidth pins the failure contract: whatever
+// the width, RecordSet reports the first failing configuration in list
+// order, even when a later one fails sooner. Configurations beyond the
+// board fail at once in sim.New; under a time limit between 1L0B's and
+// 4L4B's run times, 1L0B fails only after simulating up to the limit.
+func TestRecordSetFirstErrorAtEveryWidth(t *testing.T) {
+	set, mod, plat := buildSet(t, testConfigs)
+	slow, fast := hw.Config{Little: 1}, hw.Config{Little: 4, Big: 4}
+	limit := (set.Traces[plat.ConfigID(slow)].TotalTimeS + set.Traces[plat.ConfigID(fast)].TotalTimeS) / 2
+	bad5L, bad7B := hw.Config{Little: 5}, hw.Config{Big: 7}
+	for _, tc := range []struct {
+		configs  []hw.Config
+		maxTimeS float64
+		first    hw.Config
+	}{
+		{[]hw.Config{{Little: 1}, bad5L, {Big: 1}, bad7B}, 0, bad5L},
+		{[]hw.Config{{Little: 4, Big: 4}, {Little: 1}, bad7B, bad5L}, 0, bad7B},
+		{[]hw.Config{bad5L, {Big: 4}, {Little: 2, Big: 2}}, 0, bad5L},
+		{[]hw.Config{slow, fast, bad5L}, limit, slow},
+	} {
+		opts := testOpts
+		opts.MaxTimeS = tc.maxTimeS
+		var want string
+		for _, workers := range []int{1, 2, 8} {
+			set, err := RecordSet(mod, plat, opts, tc.configs, workers)
+			if err == nil || set != nil {
+				t.Fatalf("%v on %d workers: set %v, err %v; want a failure", tc.configs, workers, set, err)
+			}
+			if workers == 1 {
+				want = err.Error()
+				if !strings.Contains(want, tc.first.String()) {
+					t.Fatalf("%v: serial error %q does not name %v", tc.configs, want, tc.first)
+				}
+			} else if err.Error() != want {
+				t.Errorf("%v on %d workers: error %q, serial %q", tc.configs, workers, err, want)
+			}
+		}
+	}
 }
 
 func TestRecordConservation(t *testing.T) {
