@@ -188,9 +188,5 @@ func Run(mod *Module, cfg RunConfig) (*Result, error) {
 	if cfg.UseGTS {
 		opts.OS = sched.NewGTS()
 	}
-	m, err := sim.New(mod, plat, opts)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
+	return sim.Execute(mod, plat, opts, nil)
 }

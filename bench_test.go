@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"astro/internal/campaign"
 	"astro/internal/experiments"
 	"astro/internal/hw"
 	"astro/internal/rl"
@@ -24,10 +25,22 @@ import (
 	"astro/internal/workloads"
 )
 
+// coldStores makes a figure benchmark that runs through the experiments
+// executor time simulations rather than cache hits: the returned function,
+// called at the top of each iteration, installs an empty result store, and
+// the executor's previous store comes back when the benchmark ends.
+func coldStores(b *testing.B) func() {
+	prev := experiments.Store()
+	b.Cleanup(func() { experiments.Configure(experiments.ExecConfig{Store: prev}) })
+	return func() { experiments.Configure(experiments.ExecConfig{Store: campaign.NewMemStore()}) }
+}
+
 // BenchmarkFig1EnergyTimeSweep regenerates Fig. 1 (24-configuration
 // energy/time sweep of freqmine and streamcluster).
 func BenchmarkFig1EnergyTimeSweep(b *testing.B) {
+	coldStore := coldStores(b)
 	for i := 0; i < b.N; i++ {
+		coldStore()
 		r, err := experiments.Fig1(experiments.Small)
 		if err != nil {
 			b.Fatal(err)
@@ -53,7 +66,9 @@ func BenchmarkFig3PowerProfile(b *testing.B) {
 // BenchmarkFig4BestConfigs regenerates Fig. 4 (best configuration per
 // application under 1%/5% slowdown budgets).
 func BenchmarkFig4BestConfigs(b *testing.B) {
+	coldStore := coldStores(b)
 	for i := 0; i < b.N; i++ {
+		coldStore()
 		r, err := experiments.Fig4(experiments.Small)
 		if err != nil {
 			b.Fatal(err)
@@ -90,7 +105,9 @@ func BenchmarkFig9TraceStudy(b *testing.B) {
 // BenchmarkFig10DeviceStudy regenerates Fig. 10 (GTS vs Astro static vs
 // hybrid across the seven device benchmarks with p-values).
 func BenchmarkFig10DeviceStudy(b *testing.B) {
+	coldStore := coldStores(b)
 	for i := 0; i < b.N; i++ {
+		coldStore()
 		r, err := experiments.Fig10(experiments.Small)
 		if err != nil {
 			b.Fatal(err)

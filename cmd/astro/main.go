@@ -196,11 +196,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("optimizer: %d rewrites\n", n)
 	}
 	opts.Args = progArgs(mod, spec, *scale, *threads)
-	m, err := sim.New(mod, plat, opts)
-	if err != nil {
-		return err
-	}
-	res, err := m.Run()
+	res, err := sim.Execute(mod, plat, opts, nil)
 	if err != nil {
 		return err
 	}

@@ -228,39 +228,78 @@ func TestMatchesReferenceModel(t *testing.T) {
 		{2048, 4, 64},  // 8 sets
 		{8192, 16, 32}, // 16 sets
 	}
-	for _, g := range geoms {
-		g := g
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
+	// Each stream starts from a new cache, and from a recycled one: a cache
+	// that already ran a stream over the same addresses and was then reset
+	// the way the simulator resets a pooled cache before reusing it, so
+	// every set holds stale tags past its (cleared) fill count.
+	starts := []struct {
+		name string
+		make func(rng *rand.Rand, g [3]int) *Cache
+	}{
+		{"new", func(_ *rand.Rand, g [3]int) *Cache { return MustNew(g[0], g[1], g[2]) }},
+		{"recycled", func(rng *rand.Rand, g [3]int) *Cache {
 			c := MustNew(g[0], g[1], g[2])
-			r := newRefCache(g[0], g[1], g[2])
-			for i := 0; i < 2000; i++ {
-				// A window of four times the capacity over-subscribes
-				// every set, so evictions and re-references both occur.
-				addr := uint64(rng.Intn(4 * g[0]))
-				switch op := rng.Intn(100); {
-				case op == 0:
-					c.Invalidate()
-					r.sets = make([][]uint64, len(r.sets))
-				case op < 20:
-					if c.Probe(addr) != r.probe(addr) {
-						return false
-					}
-				default:
-					if c.Access(addr) != r.access(addr) {
-						return false
-					}
-				}
-				if h, m := c.Stats(); h != r.hits || m != r.misses {
+			for i := 0; i < 8*g[0]/g[2]; i++ {
+				c.Access(uint64(rng.Intn(4 * g[0])))
+			}
+			c.Invalidate()
+			c.ResetStats()
+			return c
+		}},
+	}
+	for _, g := range geoms {
+		for _, st := range starts {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				c := st.make(rng, g)
+				if st.name == "recycled" && !hasStaleTags(c) {
 					return false
 				}
+				r := newRefCache(g[0], g[1], g[2])
+				for i := 0; i < 2000; i++ {
+					// A window of four times the capacity over-subscribes
+					// every set, so evictions and re-references both occur.
+					addr := uint64(rng.Intn(4 * g[0]))
+					switch op := rng.Intn(100); {
+					case op == 0:
+						c.Invalidate()
+						r.sets = make([][]uint64, len(r.sets))
+					case op < 20:
+						if c.Probe(addr) != r.probe(addr) {
+							return false
+						}
+					default:
+						if c.Access(addr) != r.access(addr) {
+							return false
+						}
+					}
+					if h, m := c.Stats(); h != r.hits || m != r.misses {
+						return false
+					}
+				}
+				return true
 			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%dB/%d-way/%dB-line: %v", g[0], g[1], g[2], err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+				t.Fatalf("%s %dB/%d-way/%dB-line: %v", st.name, g[0], g[1], g[2], err)
+			}
 		}
 	}
+}
+
+// hasStaleTags reports whether c is empty by its fill counts while its tag
+// array still holds the lines of an earlier stream.
+func hasStaleTags(c *Cache) bool {
+	for _, n := range c.fill {
+		if n != 0 {
+			return false
+		}
+	}
+	for _, tag := range c.tags {
+		if tag != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestWaysLimit: the per-set fill count is one byte, so New must refuse an

@@ -325,11 +325,7 @@ func (j *Job) Execute() (*sim.Result, error) {
 			return nil, err
 		}
 	}
-	m, err := sim.NewWithProgram(j.Module, plat, opts, j.Program)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
+	return sim.Execute(j.Module, plat, opts, j.Program)
 }
 
 // hybridFromAgent rebuilds the hybrid policy named by AgentKey: fetch the

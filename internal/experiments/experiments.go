@@ -92,11 +92,7 @@ func compileBench(name string) (*ir.Module, workloads.Spec, error) {
 // runFixed executes mod pinned to cfg and returns the result.
 func runFixed(mod *ir.Module, plat *hw.Platform, cfg hw.Config, opts sim.Options) (*sim.Result, error) {
 	opts.InitialConfig = cfg
-	m, err := sim.New(mod, plat, opts)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
+	return sim.Execute(mod, plat, opts, nil)
 }
 
 // learningArtifacts bundles a benchmark's instrumented variants.

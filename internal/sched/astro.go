@@ -142,11 +142,7 @@ func Train(mod *ir.Module, plat *hw.Platform, act *AstroActuator, opts TrainOpti
 		so.Actuator = act
 		so.Seed = opts.Seed + int64(ep)*7919
 		so.Args = opts.Args
-		m, err := sim.New(mod, plat, so)
-		if err != nil {
-			return stats, fmt.Errorf("sched: train episode %d: %w", ep, err)
-		}
-		res, err := m.Run()
+		res, err := sim.Execute(mod, plat, so, nil)
 		if err != nil {
 			return stats, fmt.Errorf("sched: train episode %d: %w", ep, err)
 		}

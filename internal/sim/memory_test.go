@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"astro/internal/hw"
 	"astro/internal/ir"
@@ -79,8 +81,8 @@ func memStore(b *ir.Builder, addr, v int32) {
 	b.Emit(ir.Instr{Op: ir.OpStoreI, Dst: ir.NoReg, A: addr, B: v, C: ir.NoReg, Sym: -1})
 }
 
-// runMem runs mod on one tier and returns its output and error.
-func runMem(t *testing.T, mod *ir.Module, legacy bool) ([]string, error) {
+// memMachine builds a machine for mod on one tier.
+func memMachine(t *testing.T, mod *ir.Module, legacy bool) *Machine {
 	t.Helper()
 	m, err := New(mod, hw.OdroidXU4(), Options{
 		Seed:          1,
@@ -92,7 +94,13 @@ func runMem(t *testing.T, mod *ir.Module, legacy bool) ([]string, error) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res, err := m.Run()
+	return m
+}
+
+// runMem runs mod on one tier and returns its output and error.
+func runMem(t *testing.T, mod *ir.Module, legacy bool) ([]string, error) {
+	t.Helper()
+	res, err := memMachine(t, mod, legacy).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +154,60 @@ func TestMemoryModelEdges(t *testing.T) {
 		})
 	}
 
+	t.Run("recycled buffer reads zero", func(t *testing.T) {
+		// An earlier machine leaves non-zero values in cells the next one
+		// reads without writing: two inside the prefix a machine starts
+		// with (a global and a cell of main's stack), and one past it that
+		// the next machine's store at stored exposes by growing the prefix
+		// into the buffer's spare capacity. Both machines start with 72
+		// backed cells; the writer's grow to 144, a buffer Execute would
+		// pool.
+		const inStack, exposed, stored = memTestGlobals + 5, 100, 120
+		writer := memModule(t, func(b *ir.Builder) {
+			for _, a := range []int64{3, inStack, exposed, stored} {
+				memStore(b, raw(b, a), b.ConstI(0x5a5a))
+			}
+		})
+		reader := memModule(t, func(b *ir.Builder) {
+			b.CallB(ir.BPrintInt, memLoad(b, raw(b, 3)))
+			b.CallB(ir.BPrintInt, memLoad(b, raw(b, inStack)))
+			memStore(b, raw(b, stored), b.ConstI(5))
+			b.CallB(ir.BPrintInt, memLoad(b, raw(b, exposed)))
+			b.CallB(ir.BPrintInt, memLoad(b, raw(b, stored)))
+		})
+		// With the collector off, the pools keep what they are given.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		for _, legacy := range []bool{false, true} {
+			w := memMachine(t, writer, legacy)
+			if _, err := w.Run(); err != nil {
+				t.Fatalf("legacy=%v: writer: %v", legacy, err)
+			}
+			dirty := w.mem
+			for _, a := range []int64{3, inStack, exposed} {
+				if dirty[a] != 0x5a5a {
+					t.Fatalf("legacy=%v: writer left cell %d = %#x", legacy, a, dirty[a])
+				}
+			}
+			if int64(cap(dirty)) > 2*w.firstMemLen() {
+				t.Fatalf("legacy=%v: writer's buffer (capacity %d) is too large to be pooled", legacy, cap(dirty))
+			}
+			m := onRecycledMem(t, dirty, func() *Machine { return memMachine(t, reader, legacy) })
+			if int64(len(m.mem)) > exposed {
+				t.Fatalf("legacy=%v: reader starts with %d cells backed, want fewer than %d", legacy, len(m.mem), exposed)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("legacy=%v: reader: %v", legacy, err)
+			}
+			if got := strings.Join(res.Output, " "); got != "0 0 0 5" {
+				t.Fatalf("legacy=%v: output %q, want %q", legacy, got, "0 0 0 5")
+			}
+			if unsafe.SliceData(m.mem) != unsafe.SliceData(dirty) {
+				t.Fatalf("legacy=%v: the prefix left the recycled buffer instead of growing into it", legacy)
+			}
+		}
+	})
+
 	bad := []struct {
 		name  string
 		build func(b *ir.Builder)
@@ -184,4 +246,23 @@ func TestMemoryModelEdges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// onRecycledMem builds a machine with build and retries until its memory
+// buffer is dirty, pooled just before as the only buffer on offer. sync.Pool
+// promises nothing (the race detector drops a quarter of all Puts), so the
+// test checks by identity which buffer the machine took.
+func onRecycledMem(t *testing.T, dirty []uint64, build func() *Machine) *Machine {
+	t.Helper()
+	pool := memPools.pool(memTestGlobals + memTestStackCells)
+	for try := 0; try < 50; try++ {
+		for pool.Get() != nil {
+		}
+		pool.Put(&dirty)
+		if m := build(); unsafe.SliceData(m.mem) == unsafe.SliceData(dirty) {
+			return m
+		}
+	}
+	t.Fatal("no machine took the pooled buffer in 50 tries")
+	return nil
 }

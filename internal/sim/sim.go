@@ -150,7 +150,8 @@ type Machine struct {
 	// MaxThreads stacks of StackCells each. mem backs only a prefix of it
 	// and grows (growMem) when a store lands past its end; every cell past
 	// the prefix reads as zero. Backing is an acceleration structure, never
-	// a behavioural input: which cells are backed changes no result.
+	// a behavioural input: which cells are backed changes no result. Cells
+	// between len(mem) and cap(mem) are stale and never read (recycle.go).
 	mem      []uint64
 	memCells int64
 	cores    []*core
@@ -274,9 +275,9 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 		rngState: uint64(opts.Seed)*2654435761 + 0x9E3779B97F4A7C15,
 	}
 	m.memCells = mod.GlobalCells() + int64(opts.MaxThreads)*opts.StackCells
-	m.mem = make([]uint64, min(m.memCells, mod.GlobalCells()+opts.StackCells))
-	for ct, kb := range plat.L2KB {
-		m.l2[ct] = cache.MustNew(kb*1024, plat.L2Ways, plat.LineBytes)
+	m.mem = takeMem(m.firstMemLen())
+	for ct := range plat.L2KB {
+		m.l2[ct] = takeCache(l2Geom(plat, ct))
 	}
 	for i := range plat.Cores {
 		spec := &plat.Cores[i]
@@ -285,7 +286,7 @@ func NewWithProgram(mod *ir.Module, plat *hw.Platform, opts Options, prog *Progr
 			spec:  spec,
 			costs: makeCostTable(spec),
 			hier: cache.Hierarchy{
-				L1c: cache.MustNew(plat.L1KB*1024, plat.L1Ways, plat.LineBytes),
+				L1c: takeCache(l1Geom(plat)),
 				L2c: m.l2[spec.Type],
 			},
 		}
@@ -347,19 +348,34 @@ func (m *Machine) rebuildActive() {
 	m.active = ids
 }
 
+// firstMemLen is the length of the backed prefix a machine starts with:
+// the globals and main's stack.
+func (m *Machine) firstMemLen() int64 {
+	return min(m.memCells, m.mod.GlobalCells()+m.opts.StackCells)
+}
+
 // growMem extends the backed prefix of the address space so that it covers
 // addr, doubling its length (capped at memCells), and returns the new
 // prefix. The caller has checked 0 <= addr < memCells. Cells past the old
 // prefix were never written, so the zeroed extension holds their values.
+// A buffer with capacity past addr grows in place, clearing only the newly
+// exposed cells, which a recycled buffer's last machine may have written;
+// otherwise the prefix moves to a larger buffer.
 func (m *Machine) growMem(addr int64) []uint64 {
-	n := max(int64(len(m.mem)), 1)
+	old := m.mem
+	n := max(int64(len(old)), 1)
 	for n <= addr {
 		n *= 2
 	}
-	grown := make([]uint64, min(n, m.memCells))
-	copy(grown, m.mem)
-	m.mem = grown
-	return grown
+	n = min(n, m.memCells)
+	if c := int64(cap(old)); c > addr {
+		m.mem = old[:min(n, c)]
+		clear(m.mem[len(old):])
+	} else {
+		m.mem = make([]uint64, n)
+		copy(m.mem, old)
+	}
+	return m.mem
 }
 
 // CoreType returns the type of core i.

@@ -91,11 +91,7 @@ func (tr *Trace) rowAt(p float64) (Row, float64, float64) {
 func Record(mod *ir.Module, plat *hw.Platform, cfg hw.Config, opts sim.Options) (*Trace, error) {
 	opts.InitialConfig = cfg
 	opts.Actuator = nil
-	m, err := sim.New(mod, plat, opts)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	res, err := m.Run()
+	res, err := sim.Execute(mod, plat, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("trace: config %v: %w", cfg, err)
 	}
